@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Timing comparison of the compiled and pure search kernels.
 
-Runs the three exhaustive kernels on seeded integer workloads through both
+Runs the three exact searches on seeded integer workloads through both
 backends, checks the answers agree exactly, and prints the best-of-N wall
-times with the speedup.  Sizes are chosen so the pure backend takes on the
-order of a second per kernel; --scale grows the item count.
+times with the ratio of pure to compiled time.  The compiled kernels scan
+every assignment; the pure ones prune by branch and bound.  --scale grows
+the item count.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat 3] [--scale 0]
 """
@@ -38,7 +39,7 @@ def _run(label, make_call, repeat, budget=10**9):
         if comp_out != pure_out:
             raise SystemExit(f"{label}: backends disagree")
         ratio = pure_t / comp_t if comp_t > 0 else float("inf")
-        print(f"{label:34s} pure {pure_t * 1e3:9.1f} ms   compiled {comp_t * 1e3:8.2f} ms   x{ratio:,.0f}")
+        print(f"{label:34s} pure {pure_t * 1e3:9.1f} ms   compiled {comp_t * 1e3:8.2f} ms   x{ratio:,.1f}")
     else:
         print(f"{label:34s} pure {pure_t * 1e3:9.1f} ms   (no compiled backend)")
 

@@ -2,7 +2,7 @@
 
 Both solvers normalize the instance (divide each agent's values by her
 maximin share), peel off agents who can be satisfied with a small bundle,
-and finish with an exhaustive capped-welfare maximization over whatever
+and finish with an exact capped-welfare maximization over whatever
 remains.  The deterministic pipeline guarantees every agent 3/13 of her
 maximin share; the randomized one rounds a half-integral welfare optimum
 into a two-outcome lottery worth at least 1/4 ex ante and 1/8 ex post.
@@ -164,7 +164,7 @@ def max_welfare_integral(
     max_enum: int = DEFAULT_MAX_ENUM,
     backend: str | None = None,
 ) -> Allocation:
-    """Exhaustive owner-per-item search maximizing capped welfare.
+    """Exact owner-per-item search maximizing capped welfare.
 
     The objective is the sum over agents of min(cap_i, v_i(bundle)).  Ties
     break to the lexicographically smallest owner sequence.

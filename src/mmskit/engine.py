@@ -1,4 +1,12 @@
-"""Backend selection and exact scaling for the enumeration kernels.
+"""Backend selection and exact scaling for the search kernels.
+
+Two kernels serve the three exact searches: ``max_min_labels`` for the
+max-min partition behind each maximin share, and ``best_choice_labels`` for
+capped welfare, integral (no split pairs) or half-integral.  Both return
+the lexicographically first optimum.  Each call first checks the full
+assignment count (n^m, or (n + C(n,2))^m with splits) against ``max_enum``,
+a worst-case budget: the pure kernels prune by branch and bound and usually
+visit far fewer assignments, the compiled ones scan them all.
 
 The kernels work on integer tables.  Every rational in a call is multiplied
 by the least common multiple of the denominators involved, so kernel
@@ -121,6 +129,40 @@ def _pad_families(families, m: int):
     return flat, nfmax
 
 
+def _capped_welfare_labels(families, caps, m, pairs, what, max_enum, backend):
+    """Shared driver of both welfare searches: per-item choice labels.
+
+    Choices are whole items per agent, then ``pairs`` as half/half splits.
+    Entries are scaled to integers and caps doubled, so the kernel's
+    half-share scale stays integral; with no pairs it is integral welfare.
+    """
+    n = len(families)
+    if n < 1:
+        raise ValueError("need at least one agent")
+    caps = [Fraction(c) for c in caps]
+    if any(c < 0 for c in caps):
+        raise ValueError("caps must be non-negative")
+    nch = n + len(pairs)
+    _check_budget(nch**m, max_enum, f"{what} ({nch}^{m})")
+    denom = _common_denominator(
+        [x for fam in families for row in fam for x in row] + caps
+    )
+    int_fams = [
+        [[_scaled_int(x, denom) for x in row] for row in fam] for fam in families
+    ]
+    flat, nfmax = _pad_families(int_fams, m)
+    caps2 = [_scaled_int(2 * c, denom) for c in caps]
+    bound = 0
+    for i, fam in enumerate(int_fams):
+        rowmax = max((sum(row) for row in fam), default=0)
+        bound += max(caps2[i], 2 * rowmax)
+    kern = _select(backend, bound)
+    _, labels = kern.best_choice_labels(
+        flat, caps2, n, nfmax, m, [a for a, _ in pairs], [b for _, b in pairs]
+    )
+    return labels
+
+
 def best_integral_welfare(
     families: Sequence[Sequence[Sequence[Fraction]]],
     caps: Sequence[Fraction],
@@ -134,27 +176,9 @@ def best_integral_welfare(
     ``families[i]`` is agent i's additive family; ``caps[i]`` her cap.
     Ties resolve to the lexicographically smallest owner sequence.
     """
-    n = len(families)
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if any(Fraction(c) < 0 for c in caps):
-        raise ValueError("caps must be non-negative")
-    _check_budget(n**m, max_enum, f"integral welfare search ({n}^{m})")
-    denom = _common_denominator(
-        [x for fam in families for row in fam for x in row] + [Fraction(c) for c in caps]
+    return _capped_welfare_labels(
+        families, caps, m, [], "integral welfare search", max_enum, backend
     )
-    int_fams = [
-        [[_scaled_int(x, denom) for x in row] for row in fam] for fam in families
-    ]
-    flat, nfmax = _pad_families(int_fams, m)
-    caps_i = [_scaled_int(Fraction(c), denom) for c in caps]
-    bound = 0
-    for i, fam in enumerate(int_fams):
-        rowmax = max((sum(row) for row in fam), default=0)
-        bound += max(caps_i[i], rowmax)
-    kern = _select(backend, bound)
-    _, owners = kern.best_owner_labels(flat, caps_i, n, nfmax, m)
-    return owners
 
 
 def best_half_integral_welfare(
@@ -171,28 +195,8 @@ def best_half_integral_welfare(
     Returns (choices, pairs): choice c < n means whole to agent c, else the
     split pair is ``pairs[c - n]``.
     """
-    n = len(families)
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if any(Fraction(c) < 0 for c in caps):
-        raise ValueError("caps must be non-negative")
-    pairs = half_pair_order(n)
-    nch = n + len(pairs)
-    _check_budget(nch**m, max_enum, f"half-integral welfare search ({nch}^{m})")
-    denom = _common_denominator(
-        [x for fam in families for row in fam for x in row] + [Fraction(c) for c in caps]
-    )
-    int_fams = [
-        [[_scaled_int(x, denom) for x in row] for row in fam] for fam in families
-    ]
-    flat, nfmax = _pad_families(int_fams, m)
-    caps2 = [_scaled_int(2 * Fraction(c), denom) for c in caps]
-    bound = 0
-    for i, fam in enumerate(int_fams):
-        rowmax = max((sum(row) for row in fam), default=0)
-        bound += max(caps2[i], 2 * rowmax)
-    kern = _select(backend, bound)
-    _, choices = kern.best_choice_labels(
-        flat, caps2, n, nfmax, m, [a for a, _ in pairs], [b for _, b in pairs]
+    pairs = half_pair_order(len(families))
+    choices = _capped_welfare_labels(
+        families, caps, m, pairs, "half-integral welfare search", max_enum, backend
     )
     return choices, pairs

@@ -1,10 +1,11 @@
 """Exact maximin-share oracle and the reductions built on it.
 
 The maximin share of an agent is the best worst-bundle value she can secure
-by partitioning the items into n bundles herself.  The oracle enumerates
-all n^m labeled assignments (bundles may be empty) and certifies the first
+by partitioning the items into n bundles herself.  The oracle searches the
+n^m labeled assignments (bundles may be empty) and certifies the first
 optimum in lexicographic label order, so results are reproducible down to
-the witness partition.
+the witness partition.  The search is exact; the pure backend prunes it by
+branch and bound, which changes its cost but not its answer.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ def mms(inst: Instance, agent: int, *, max_enum: int = DEFAULT_MAX_ENUM,
         backend: str | None = None) -> MmsCertificate:
     """Maximin share of one agent, with a witness partition.
 
-    Enumerates every assignment of the m items to n bundle labels and takes
-    the max-min; the certificate is the lexicographically smallest optimal
-    label sequence.  Raises CapacityError when n^m exceeds ``max_enum``.
+    Searches the assignments of the m items to n bundle labels for the
+    max-min; the certificate is the lexicographically smallest optimal
+    label sequence.  Raises CapacityError when n^m exceeds ``max_enum``,
+    a budget on the full assignment count however much the search prunes.
     """
     if inst.n < 1:
         raise ValueError("instance has no agents")

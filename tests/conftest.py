@@ -9,9 +9,14 @@ makes first-optimum comparisons exact.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import shutil
+import subprocess
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +164,34 @@ def grid2():
 @pytest.fixture
 def grid3():
     return mk.gen_instance("grid", n=3)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The committed compiled kernels, built with ``cc`` into a temporary
+    directory and loaded from there.
+
+    Nothing is written next to the sources, so the package under test keeps
+    the backend it imported with; backend comparisons use this module
+    directly or patch it into ``engine``.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) to build the compiled kernels")
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").exists():
+        pytest.skip(f"no Python headers (Python.h) under {include}")
+    source = Path(__file__).resolve().parents[1] / "src" / "mmskit" / "_kernels.c"
+    target = tmp_path_factory.mktemp("kernels") / (
+        "_kernels" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    build = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.fail(f"building {source.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("mmskit._kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
