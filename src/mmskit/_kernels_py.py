@@ -1,8 +1,7 @@
-"""Pure-Python twins of the compiled search kernels.
+"""The search kernels behind the three exact searches.
 
-Same flat inputs, same outputs, same first-optimum tie-breaking as
-``_kernels``.  Used when the extension is unavailable or when the scaled
-integers might overflow 64-bit arithmetic (Python ints are unbounded).
+They take flat integer tables scaled by ``engine`` and compute in Python
+ints, so no magnitude can overflow.
 
 Both kernels run one iterative depth-first branch and bound over label
 sequences in ascending lexicographic order.  A subtree is pruned when an

@@ -23,7 +23,7 @@ from .algorithms import (
     solve_deterministic,
     solve_randomized,
 )
-from .engine import DEFAULT_MAX_ENUM, backend_name
+from .engine import DEFAULT_MAX_ENUM
 from .errors import CapacityError, ParseError
 from .generators import FAMILIES, gen_instance
 from .instancefile import (

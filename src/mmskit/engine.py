@@ -1,54 +1,42 @@
-"""Backend selection and exact scaling for the search kernels.
+"""Exact integer scaling in front of the search kernels.
 
 Two kernels serve the three exact searches: ``max_min_labels`` for the
 max-min partition behind each maximin share, and ``best_choice_labels`` for
 capped welfare, integral (no split pairs) or half-integral.  Both return
 the lexicographically first optimum.  Each call first checks the full
 assignment count (n^m, or (n + C(n,2))^m with splits) against ``max_enum``,
-a worst-case budget: the pure kernels prune by branch and bound and usually
-visit far fewer assignments, the compiled ones scan them all.
+a worst-case budget: the kernels prune by branch and bound and usually
+visit far fewer assignments.
 
 The kernels work on integer tables.  Every rational in a call is multiplied
 by the least common multiple of the denominators involved, so kernel
-arithmetic is exact; certificates are decoded back and re-evaluated in
-``Fraction`` by the callers, which keeps the rational layer authoritative.
+arithmetic is exact and unbounded (Python ints); certificates are decoded
+back and re-evaluated in ``Fraction`` by the callers, which keeps the
+rational layer authoritative.
 
-The compiled extension is preferred when present.  A magnitude bound is
-computed per call and anything that could overflow signed 64-bit integers
-is routed to the pure-Python kernels, whose ints are unbounded.  Setting
-``MMSKIT_BACKEND=python`` in the environment disables the extension.
+There is one search implementation, ``_kernels_py``.  The ``backend``
+keyword of the public entry points accepts ``None`` or ``"python"``;
+``"compiled"`` names a backend no build provides and is refused.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapacityError
-from . import _kernels_py as _pure
-
-if os.environ.get("MMSKIT_BACKEND") == "python":
-    _compiled = None
-else:
-    try:
-        from . import _kernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
+from . import _kernels_py
 
 DEFAULT_MAX_ENUM = 10_000_000
 
-# headroom below 2**63 so per-move deltas cannot wrap
-_INT64_SAFE = 1 << 62
-
 
 def backend_name() -> str:
-    return "compiled" if _compiled is not None else "python"
+    return "python"
 
 
 def has_compiled_backend() -> bool:
-    return _compiled is not None
+    return False
 
 
 def half_pair_order(n: int) -> list[tuple[int, int]]:
@@ -56,19 +44,11 @@ def half_pair_order(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def _select(backend: str | None, bound: int):
-    if backend is None:
-        if _compiled is not None and bound < _INT64_SAFE:
-            return _compiled
-        return _pure
-    if backend == "python":
-        return _pure
+def _check_backend(backend: str | None):
+    if backend in (None, "python"):
+        return
     if backend == "compiled":
-        if _compiled is None:
-            raise ValueError("compiled backend is not available")
-        if bound >= _INT64_SAFE:
-            raise ValueError("scaled values too large for the compiled backend")
-        return _compiled
+        raise ValueError("compiled backend is not available")
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -110,12 +90,8 @@ def max_min_partition(
     _check_budget(n**m, max_enum, f"max-min partition ({n}^{m})")
     denom = _common_denominator(x for row in functions for x in row)
     flat = [_scaled_int(x, denom) for row in functions for x in row]
-    nfun = len(functions)
-    bound = 0
-    for k in range(nfun):
-        bound = max(bound, sum(flat[k * m:(k + 1) * m]))
-    kern = _select(backend, bound)
-    _, labels = kern.max_min_labels(flat, nfun, m, n)
+    _check_backend(backend)
+    _, labels = _kernels_py.max_min_labels(flat, len(functions), m, n)
     return labels
 
 
@@ -152,12 +128,8 @@ def _capped_welfare_labels(families, caps, m, pairs, what, max_enum, backend):
     ]
     flat, nfmax = _pad_families(int_fams, m)
     caps2 = [_scaled_int(2 * c, denom) for c in caps]
-    bound = 0
-    for i, fam in enumerate(int_fams):
-        rowmax = max((sum(row) for row in fam), default=0)
-        bound += max(caps2[i], 2 * rowmax)
-    kern = _select(backend, bound)
-    _, labels = kern.best_choice_labels(
+    _check_backend(backend)
+    _, labels = _kernels_py.best_choice_labels(
         flat, caps2, n, nfmax, m, [a for a, _ in pairs], [b for _, b in pairs]
     )
     return labels

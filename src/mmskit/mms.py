@@ -4,8 +4,8 @@ The maximin share of an agent is the best worst-bundle value she can secure
 by partitioning the items into n bundles herself.  The oracle searches the
 n^m labeled assignments (bundles may be empty) and certifies the first
 optimum in lexicographic label order, so results are reproducible down to
-the witness partition.  The search is exact; the pure backend prunes it by
-branch and bound, which changes its cost but not its answer.
+the witness partition.  The search is exact; it prunes by branch and bound,
+which changes its cost but not its answer.
 """
 
 from __future__ import annotations

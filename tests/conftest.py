@@ -5,18 +5,18 @@ touch the package's kernels, so a kernel bug cannot vouch for itself.  They
 use the same fixed enumeration orders the package documents (labels as an
 ascending odometer, per-item choices agents-first then index pairs), which
 makes first-optimum comparisons exact.
+
+The ``scan_*`` functions are exhaustive odometer scans over the kernels'
+flat integer inputs.  They share no code with the branch-and-bound kernels
+and run far faster than the itertools oracles, so they are the reference at
+sizes those cannot reach.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
-import shutil
-import subprocess
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -134,6 +134,136 @@ def random_half_integral(n, m, seed):
 
 
 # ---------------------------------------------------------------------------
+# exhaustive scans on the kernels' flat integer inputs
+#
+# Each walks every label sequence in ascending lexicographic order with an
+# odometer, updating bundle sums incrementally, and keeps the strictly best
+# objective seen first.  Returns (best objective, labels).
+
+
+def scan_max_min_labels(flat, nfun, m, n):
+    """Max-min partition of m items into n bundles; flat is nfun x m."""
+    sums = [0] * (n * nfun)
+    val = [0] * n
+    lab = [0] * m
+
+    def move(g, j, delta):
+        base = g * nfun
+        for k in range(nfun):
+            sums[base + k] += delta * flat[k * m + j]
+        val[g] = max(sums[base:base + nfun])
+
+    for j in range(m):
+        move(0, j, 1)
+    best = -1
+    best_lab = list(lab)
+    while True:
+        obj = min(val)
+        if obj > best:
+            best = obj
+            best_lab = list(lab)
+        j = m - 1
+        while j >= 0 and lab[j] == n - 1:
+            move(n - 1, j, -1)
+            lab[j] = 0
+            move(0, j, 1)
+            j -= 1
+        if j < 0:
+            break
+        move(lab[j], j, -1)
+        lab[j] += 1
+        move(lab[j], j, 1)
+    return best, best_lab
+
+
+def scan_best_owner_labels(flat, caps, n, nfmax, m):
+    """Integral capped welfare: one owner per item; flat is n x nfmax x m
+    (short families padded with zero rows), caps on the same scale."""
+    sums = [0] * (n * nfmax)
+    val = [0] * n
+    lab = [0] * m
+    total = 0
+
+    def move(i, j, delta):
+        nonlocal total
+        base = i * nfmax
+        for k in range(nfmax):
+            sums[base + k] += delta * flat[(base + k) * m + j]
+        new = min(caps[i], max(sums[base:base + nfmax]))
+        total += new - val[i]
+        val[i] = new
+
+    for j in range(m):
+        move(0, j, 1)
+    best = -1
+    best_lab = list(lab)
+    while True:
+        if total > best:
+            best = total
+            best_lab = list(lab)
+        j = m - 1
+        while j >= 0 and lab[j] == n - 1:
+            move(n - 1, j, -1)
+            lab[j] = 0
+            move(0, j, 1)
+            j -= 1
+        if j < 0:
+            break
+        move(lab[j], j, -1)
+        lab[j] += 1
+        move(lab[j], j, 1)
+    return best, best_lab
+
+
+def scan_best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b):
+    """Half-integral capped welfare: per item whole to agent c < n, else
+    split between (pair_a[c-n], pair_b[c-n]).  A whole share adds twice the
+    table entry, so caps must be pre-doubled to match."""
+    nch = n + len(pair_a)
+    sums = [0] * (n * nfmax)
+    val = [0] * n
+    lab = [0] * m
+    total = 0
+
+    def bump(i, j, delta):
+        nonlocal total
+        base = i * nfmax
+        for k in range(nfmax):
+            sums[base + k] += delta * flat[(base + k) * m + j]
+        new = min(caps[i], max(sums[base:base + nfmax]))
+        total += new - val[i]
+        val[i] = new
+
+    def move(c, j, sign):
+        if c < n:
+            bump(c, j, 2 * sign)
+        else:
+            bump(pair_a[c - n], j, sign)
+            bump(pair_b[c - n], j, sign)
+
+    for j in range(m):
+        move(0, j, 1)
+    best = -1
+    best_lab = list(lab)
+    while True:
+        if total > best:
+            best = total
+            best_lab = list(lab)
+        j = m - 1
+        while j >= 0 and lab[j] == nch - 1:
+            move(nch - 1, j, -1)
+            lab[j] = 0
+            move(0, j, 1)
+            j -= 1
+        if j < 0:
+            break
+        move(lab[j], j, -1)
+        lab[j] += 1
+        move(lab[j], j, 1)
+    return best, best_lab
+
+
+# ---------------------------------------------------------------------------
 # suite schedule shared by the guarantee tests and the acceptance gate
 
 
@@ -164,34 +294,3 @@ def grid2():
 @pytest.fixture
 def grid3():
     return mk.gen_instance("grid", n=3)
-
-
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """The committed compiled kernels, built with ``cc`` into a temporary
-    directory and loaded from there.
-
-    Nothing is written next to the sources, so the package under test keeps
-    the backend it imported with; backend comparisons use this module
-    directly or patch it into ``engine``.
-    """
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler (cc) to build the compiled kernels")
-    include = sysconfig.get_paths()["include"]
-    if not Path(include, "Python.h").exists():
-        pytest.skip(f"no Python headers (Python.h) under {include}")
-    source = Path(__file__).resolve().parents[1] / "src" / "mmskit" / "_kernels.c"
-    target = tmp_path_factory.mktemp("kernels") / (
-        "_kernels" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    build = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
-        capture_output=True, text=True,
-    )
-    if build.returncode != 0:
-        pytest.fail(f"building {source.name} failed:\n{build.stderr}")
-    spec = importlib.util.spec_from_file_location("mmskit._kernels", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module

@@ -1,6 +1,8 @@
-"""Pure search kernels against the brute-force oracles on edge cases, and
-the regressions the branch-and-bound search must keep: no recursion limit
-on long instances, and budgets still counted on the full assignment space."""
+"""Search kernels against the brute-force oracles on edge cases and against
+the exhaustive scans on random tables, bit for bit including tie-breaks,
+and the regressions the branch-and-bound search must keep: no recursion
+limit on long instances, budgets still counted on the full assignment
+space, and exact results on values far beyond 64 bits."""
 
 from __future__ import annotations
 
@@ -12,7 +14,14 @@ import mmskit as mk
 from mmskit import _kernels_py
 from mmskit.engine import _pad_families, half_pair_order
 
-from conftest import oracle_half_welfare, oracle_integral_welfare, oracle_partition
+from conftest import (
+    oracle_half_welfare,
+    oracle_integral_welfare,
+    oracle_partition,
+    scan_best_choice_labels,
+    scan_best_owner_labels,
+    scan_max_min_labels,
+)
 
 # (n, m, largest entry): tie-heavy tables, all-zero tables, more bundles
 # than items, no items, and a single bundle or agent
@@ -102,3 +111,80 @@ def test_welfare_budgets_count_full_assignment_space():
     with pytest.raises(mk.CapacityError):
         mk.max_welfare_half_integral(inst, caps, max_enum=3**6 - 1)
     assert mk.max_welfare_half_integral(inst, caps, max_enum=3**6).n == 2
+
+
+def tables(rng, rows, m, lo=0, hi=6):
+    return [rng.randint(lo, hi) for _ in range(rows * m)]
+
+
+def test_partition_kernels_agree():
+    rng = random.Random(11)
+    for _ in range(120):
+        nfun = rng.randint(1, 3)
+        m = rng.randint(1, 9)
+        n = rng.randint(1, 4)
+        flat = tables(rng, nfun, m, hi=4)  # small values force ties
+        assert scan_max_min_labels(
+            flat, nfun, m, n
+        ) == _kernels_py.max_min_labels(flat, nfun, m, n)
+
+
+def test_owner_kernels_agree():
+    # integral welfare is the choice kernel with no split pairs, at twice
+    # the value because whole shares count double on the half-share scale
+    rng = random.Random(12)
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        nfmax = rng.randint(1, 3)
+        m = rng.randint(1, 9)
+        flat = tables(rng, n * nfmax, m, hi=4)
+        caps = [rng.randint(0, 8) for _ in range(n)]
+        caps2 = [2 * c for c in caps]
+        welfare, owners = scan_best_owner_labels(flat, caps, n, nfmax, m)
+        expected = (2 * welfare, owners)
+        assert scan_best_choice_labels(
+            flat, caps2, n, nfmax, m, [], []
+        ) == expected
+        assert _kernels_py.best_choice_labels(
+            flat, caps2, n, nfmax, m, [], []
+        ) == expected
+
+
+def test_choice_kernels_agree():
+    rng = random.Random(13)
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        nfmax = rng.randint(1, 2)
+        m = rng.randint(1, 9 if n == 2 else 6)
+        flat = tables(rng, n * nfmax, m, hi=4)
+        caps = [rng.randint(0, 10) for _ in range(n)]
+        pair_a = [a for a, _ in half_pair_order(n)]
+        pair_b = [b for _, b in half_pair_order(n)]
+        assert scan_best_choice_labels(
+            flat, caps, n, nfmax, m, pair_a, pair_b
+        ) == _kernels_py.best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b)
+
+
+def test_oversized_values_fall_back_exactly():
+    # magnitudes past 2^63 overflow any 64-bit kernel; results must still
+    # be exact, through unbounded ints
+    big = 1 << 63
+    inst = mk.instance_from_lists([[[big, big]], [[big, big]]])
+    assert mk.mms(inst, 0).value == big
+    alloc = mk.max_welfare_integral(inst, [big, big])
+    assert alloc.owner == (0, 1)
+
+
+def test_backend_argument_selects_pure():
+    inst = mk.gen_instance("random-xos", n=2, m=5, l=2, maxval=8, seed=3)
+    a = mk.mms(inst, 0, backend="python")
+    with pytest.raises(ValueError, match="unknown backend"):
+        mk.mms(inst, 0, backend="native")
+    if not mk.has_compiled_backend():
+        # no build provides the compiled backend; forcing it must refuse loudly
+        with pytest.raises(ValueError):
+            mk.mms(inst, 0, backend="compiled")
+        return
+    b = mk.mms(inst, 0, backend="compiled")
+    assert a.value == b.value
+    assert a.partition == b.partition
