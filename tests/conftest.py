@@ -9,7 +9,8 @@ makes first-optimum comparisons exact.
 The ``scan_*`` functions are exhaustive odometer scans over the kernels'
 flat integer inputs.  They share no code with the branch-and-bound kernels
 and run far faster than the itertools oracles, so they are the reference at
-sizes those cannot reach.
+sizes those cannot reach.  ``lex_max_min_labels`` goes further still, by
+the single-phase branch and bound that the partition kernel used to run.
 """
 
 from __future__ import annotations
@@ -260,6 +261,59 @@ def scan_best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b):
         move(lab[j], j, -1)
         lab[j] += 1
         move(lab[j], j, 1)
+    return best, best_lab
+
+
+def lex_max_min_labels(flat, nfun, m, n):
+    """Max-min partition by one branch and bound over restricted-growth
+    labelings in the items' own order; flat is nfun x m.
+
+    The single-phase kernel this package used before the value-first
+    search, kept as the reference at m = 10..12, where the scans are too
+    slow.  It prunes a prefix whose bound, the smaller of the weakest bundle
+    plus everything left under one row and the average bundle if every
+    remaining item added its largest entry, is at most the best value
+    found, and keeps only strict improvements.
+    """
+    if m == 0:
+        return 0, []
+    rows = [flat[k * m:(k + 1) * m] for k in range(nfun)]
+    remmax = [0] * (m + 1)
+    remtot = [0] * (m + 1)
+    acc = [0] * nfun
+    for j in range(m - 1, -1, -1):
+        col = [row[j] for row in rows]
+        acc = [a + x for a, x in zip(acc, col)]
+        remmax[j] = max(acc)
+        remtot[j] = remtot[j + 1] + max(col)
+    sums = [[0] * nfun for _ in range(n)]
+    val = [0] * n
+    saved = [None] * m
+    used = [0] * (m + 1)  # bundles used by items 0..j-1
+    lab = [-1] * m
+    best, best_lab = -1, []
+    j = 0
+    while j >= 0:
+        c = lab[j]
+        if c >= 0:
+            sums[c] = saved[j]
+            val[c] = max(sums[c])
+        c += 1
+        if c == min(used[j] + 1, n):
+            lab[j] = -1
+            j -= 1
+            continue
+        lab[j] = c
+        saved[j] = sums[c]
+        sums[c] = [s + row[j] for s, row in zip(sums[c], rows)]
+        val[c] = max(sums[c])
+        used[j + 1] = max(used[j], c + 1)
+        bound = min(min(val) + remmax[j + 1], (sum(val) + remtot[j + 1]) // n)
+        if bound > best:
+            if j == m - 1:
+                best, best_lab = bound, lab[:]
+            else:
+                j += 1
     return best, best_lab
 
 

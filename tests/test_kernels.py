@@ -1,20 +1,25 @@
 """Search kernels against the brute-force oracles on edge cases and against
 the exhaustive scans on random tables, bit for bit including tie-breaks,
-and the regressions the branch-and-bound search must keep: no recursion
-limit on long instances, budgets still counted on the full assignment
-space, and exact results on values far beyond 64 bits."""
+the value-first partition search against the single-phase search it
+replaced at sizes the scans cannot reach, and the regressions the
+branch-and-bound search must keep: no recursion limit on long instances,
+budgets still counted on the full assignment space, and exact results on
+values far beyond 64 bits."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import mmskit as mk
 from mmskit import _kernels_py
+from mmskit._kernels_py import _greedy_value, _max_min_search
 from mmskit.engine import _pad_families, half_pair_order
 
 from conftest import (
+    lex_max_min_labels,
     oracle_half_welfare,
     oracle_integral_welfare,
     oracle_partition,
@@ -127,6 +132,82 @@ def test_partition_kernels_agree():
         assert scan_max_min_labels(
             flat, nfun, m, n
         ) == _kernels_py.max_min_labels(flat, nfun, m, n)
+
+
+def test_partition_kernel_matches_single_phase_search():
+    # m = 10..12 is past the scans; duplicated columns make the search meet
+    # the same bundle sums again and again
+    rng = random.Random(14)
+    for _ in range(36):
+        n = rng.randint(2, 5)
+        m = rng.randint(10, 12)
+        nfun = rng.randint(1, 3)
+        flat = tables(rng, nfun, m, hi=rng.choice([1, 3, 20, 1000]))
+        if rng.random() < 0.3:
+            for _ in range(m // 2):
+                a, b = rng.randrange(m), rng.randrange(m)
+                for k in range(nfun):
+                    flat[k * m + b] = flat[k * m + a]
+        assert _kernels_py.max_min_labels(
+            flat, nfun, m, n
+        ) == lex_max_min_labels(flat, nfun, m, n)
+
+
+# (rows, n) for the partition kernel: the greedy start below the optimum
+# ({3, 3} | {2, 2, 2}, which greedy splits) and at it but below the root
+# bound, so phase A searches and finds nothing better; largest entries
+# tied across items, so the value-first order keeps input order among
+# them; the grid's duplicated columns, where bundle states repeat.  More
+# bundles than items, all-zero tables and a single bundle are in SHAPES.
+EDGE_TABLES = {
+    "greedy-below": ([[3, 3, 2, 2, 2]], 2),
+    "greedy-at-optimum": ([[7, 3, 3, 3]], 2),
+    "tied-largest": ([[5, 5, 0, 5, 2, 4, 5], [0, 5, 5, 1, 5, 5, 3]], 3),
+    "grid3": ([[1 if k * 3 <= j < k * 3 + 3 else 0 for j in range(9)]
+               for k in range(3)], 3),
+    "duplicates": ([[2, 2, 2, 1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 2, 2, 0, 0, 1]], 3),
+}
+
+
+@pytest.mark.parametrize("rows,n", EDGE_TABLES.values(), ids=list(EDGE_TABLES))
+def test_partition_kernel_edge_tables(rows, n):
+    m = len(rows[0])
+    flat = [x for row in rows for x in row]
+    assert _kernels_py.max_min_labels(
+        flat, len(rows), m, n
+    ) == scan_max_min_labels(flat, len(rows), m, n)
+
+
+def test_greedy_start_is_a_lower_bound():
+    below, at = EDGE_TABLES["greedy-below"][0], EDGE_TABLES["greedy-at-optimum"][0]
+    assert _greedy_value(below, 2, 5) == 5
+    assert _kernels_py.max_min_labels(below[0], 1, 5, 2) == (6, [0, 0, 1, 1, 1])
+    # root bound 16 // 2 = 8 is above the optimum, so phase A runs
+    assert _greedy_value(at, 2, 4) == 7
+    assert _kernels_py.max_min_labels(at[0], 1, 4, 2) == (7, [0, 1, 1, 1])
+
+
+def test_search_stops_at_first_labeling_reaching_target():
+    # phase B's contract at every target: with the floor just below it, the
+    # search returns the first labeling in lexicographic order worth at
+    # least the target, and none once the floor is the optimum
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        m = rng.randint(2, 7)
+        rows = [[rng.randint(0, 6) for _ in range(m)]
+                for _ in range(rng.randint(1, 2))]
+        labelings = list(itertools.product(range(n), repeat=m))
+        worth = [
+            min(max(sum(row[j] for j in range(m) if lab[j] == g) for row in rows)
+                for g in range(n))
+            for lab in labelings
+        ]
+        for t in range(max(worth) + 1):
+            first = next(i for i, w in enumerate(worth) if w >= t)
+            assert _max_min_search(rows, n, t - 1, t) == (
+                worth[first], list(labelings[first]))
+        assert _max_min_search(rows, n, max(worth), max(worth) + 1)[1] is None
 
 
 def test_owner_kernels_agree():

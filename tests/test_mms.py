@@ -3,10 +3,13 @@ reduction, and the halving split."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import mmskit as mk
-from conftest import F, oracle_partition, raw_functions, suite_instances
+from mmskit import _kernels_py
+from conftest import F, oracle_partition, raw_functions, raw_instance, suite_instances
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +44,18 @@ def test_grid_mms_is_one(n):
     inst = mk.gen_instance("grid", n=n)
     for agent in range(n):
         assert mk.mms(inst, agent).value == 1
+
+
+def test_grid5_mms_within_budget():
+    # 5^25 labelings and every bundle state repeated many times over; the
+    # single-phase search did not finish here in 110 s
+    inst = mk.gen_instance("grid", n=5)
+    start = time.perf_counter()
+    cert = mk.mms(inst, 0, max_enum=5**25)
+    elapsed = time.perf_counter() - start
+    assert cert.value == 1
+    assert cert.partition == tuple(frozenset(range(5 * k, 5 * k + 5)) for k in range(5))
+    assert elapsed < 30, f"grid n=5 took {elapsed:.1f} s, over the 30 s budget"
 
 
 def test_single_agent_mms_is_total_value():
@@ -111,6 +126,41 @@ def test_normalize_accepts_precomputed_values(lemma1):
     norm, factors = mk.normalize(lemma1, mms_values=(F(2), F(2)))
     assert factors == (F(2), F(2))
     assert mk.mms(norm, 0).value == 1
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = _kernels_py.max_min_labels
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(_kernels_py, "max_min_labels", counted)
+    return calls
+
+
+def test_identical_agents_share_one_search(monkeypatch, grid3):
+    calls = _count_searches(monkeypatch)
+    assert mk.normalize(grid3)[1] == (1, 1, 1)
+    assert len(calls) == 1
+    calls.clear()
+    report = mk.verify(grid3, mk.Allocation((0, 0, 0, 1, 1, 1, 2, 2, 2)), 1)
+    assert [a.mms for a in report.agents] == [1, 1, 1]
+    assert len(calls) == 1
+
+
+def test_duplicated_agent_reuses_its_share(monkeypatch):
+    base = raw_instance(mk.gen_instance("random-xos", n=3, m=7, l=2, maxval=9, seed=4))
+    inst = mk.instance_from_lists(base + [base[1]])
+    per_agent = tuple(mk.mms(inst, i).value for i in range(inst.n))
+    calls = _count_searches(monkeypatch)
+    assert mk.normalize(inst)[1] == per_agent
+    assert len(calls) == inst.n - 1
+    calls.clear()
+    report = mk.verify(inst, mk.Allocation((0, 1, 2, 3, 0, 1, 2)), 0)
+    assert tuple(a.mms for a in report.agents) == per_agent
+    assert len(calls) == inst.n - 1
 
 
 # ---------------------------------------------------------------------------
