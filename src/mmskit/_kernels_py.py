@@ -1,7 +1,9 @@
 """The search kernels behind the three exact searches.
 
 They take flat integer tables scaled by ``engine`` and compute in Python
-ints, so no magnitude can overflow.
+ints, so no magnitude can overflow.  The max-min search loop,
+``_max_min_search``, also exists in C (``_maxmin.c``), for tables that fit
+int64; ``max_min_labels`` takes the loop to run as an argument.
 
 ``best_choice_labels`` (capped welfare) runs an iterative depth-first
 branch and bound over label sequences in ascending lexicographic order.  A
@@ -106,8 +108,10 @@ def _max_min_search(rows, n, floor, target):
     use) in ascending lexicographic order, for n >= 2 bundles and at least
     two items.  Only a leaf worth more than ``floor`` counts, and it raises
     the floor; the search returns at the first leaf worth at least
-    ``target``.  Returns (best value, labels), labels None when no leaf
-    beat ``floor``.
+    ``target``.  Returns (best value, labels, nodes), labels None when no
+    leaf beat ``floor``; nodes counts the labels given to items before the
+    last, which the last-item pass labels all at once.  ``_maxmin.c`` is
+    this loop in C, node for node.
 
     A prefix is pruned when its bound is at most the floor.  The bound is
     the smallest of: the weakest bundle plus everything left under one row,
@@ -134,6 +138,7 @@ def _max_min_search(rows, n, floor, target):
     keys = [None] * m  # stays None where no state is recorded
     done = set()
     best, best_lab = floor, None
+    nodes = 0
     lim[0] = 1
     j = 0
     while j >= 0:
@@ -147,6 +152,7 @@ def _max_min_search(rows, n, floor, target):
             j -= 1
             continue
         lab[j] = c
+        nodes += 1
         s = sums[c]
         saved[j] = s, val[c]
         s = sums[c] = tuple(map(add, s, cols[j]))
@@ -184,15 +190,18 @@ def _max_min_search(rows, n, floor, target):
                 if v > best:
                     best, best_lab = v, lab[:last] + [g]
                     if v >= target:
-                        return best, best_lab
-    return best, best_lab
+                        return best, best_lab, nodes
+    return best, best_lab, nodes
 
 
-def max_min_labels(flat, nfun, m, n):
+def max_min_labels(flat, nfun, m, n, search=_max_min_search):
     """Assign m items to n bundles maximizing the minimum bundle value.
 
     flat: row-major nfun x m non-negative integer table for one agent.
     Returns (best objective, labels), labels lexicographically smallest.
+    ``search`` runs both phases: ``_max_min_search`` or the C loop of the
+    same signature and node sequence, which ``engine`` passes when it is
+    built and the table fits in int64.
 
     Bundles are interchangeable, so the first optimum numbers bundles in
     order of first use; only such labelings (restricted-growth strings) are
@@ -223,8 +232,8 @@ def max_min_labels(flat, nfun, m, n):
         order = sorted(range(m), key=lambda j: max(r[j] for r in rows),
                        reverse=True)
         ordered = [[r[j] for j in order] for r in rows]
-        opt = _max_min_search(ordered, n, opt, top)[0]
-    return _max_min_search(rows, n, opt - 1, opt)
+        opt = search(ordered, n, opt, top)[0]
+    return search(rows, n, opt - 1, opt)[:2]
 
 
 def best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b):

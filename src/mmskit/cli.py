@@ -33,7 +33,7 @@ from .instancefile import (
     serialize_instance,
     serialize_result,
 )
-from .mms import mms
+from .mms import share_certificates
 from .verify import best_two_agent_split, verify
 
 
@@ -53,7 +53,7 @@ def _print_json(doc) -> None:
 
 def _cmd_mms(args) -> int:
     inst = load_instance_document(args.instance).instance
-    certs = [mms(inst, i, max_enum=args.max_enum) for i in range(inst.n)]
+    certs = share_certificates(inst, max_enum=args.max_enum)
     if args.json:
         _print_json(
             {

@@ -14,14 +14,27 @@ arithmetic is exact and unbounded (Python ints); certificates are decoded
 back and re-evaluated in ``Fraction`` by the callers, which keeps the
 rational layer authoritative.
 
-There is one search implementation, ``_kernels_py``.  The ``backend``
-keyword of the public entry points accepts ``None`` or ``"python"``;
-``"compiled"`` names a backend no build provides and is refused.
+The max-min partition search has two loops that visit the same nodes:
+``_kernels_py._max_min_search`` and its C port ``_maxmin.c``.  The first
+search (or ``has_compiled_backend()``) compiles the C file with ``cc`` into
+the package's ``__pycache__``, rebuilding when the source is newer, and
+loads it; when that fails for any reason (no compiler or headers, a
+read-only directory, a compile or load error) the pure loop serves the rest
+of the process.  ``max_min_partition`` passes the C loop when it is loaded
+and the table's sum over items of the largest scaled entry is below 2^62,
+so no int64 in it can overflow; otherwise the pure loop, whose Python ints
+are unbounded.  The welfare kernel is pure Python.
+
+The ``backend`` keyword of the public entry points: ``None`` chooses as
+above, ``"python"`` forces the pure loop, and ``"compiled"`` chooses as
+above but raises ``ValueError`` when the C loop is unavailable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,14 +42,76 @@ from .errors import CapacityError
 from . import _kernels_py
 
 DEFAULT_MAX_ENUM = 10_000_000
+_HERE = os.path.dirname(os.path.abspath(__file__))
+# every int64 the C loop computes is at most twice its table's bound
+_C_TABLE_LIMIT = 1 << 62
+
+
+def _build_search(source: str, library: str):
+    """``search`` of the C loop in ``library``, compiled from ``source``
+    when missing or older; None when it cannot be built or loaded."""
+    import importlib.util
+
+    try:
+        if (not os.path.exists(library)
+                or os.path.getmtime(library) < os.path.getmtime(source)):
+            _compile(source, library)
+        spec = importlib.util.spec_from_file_location("mmskit._maxmin", library)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):
+        return None
+    return module.search
+
+
+def _compile(source: str, library: str) -> None:
+    """cc ``source`` into a temporary file next to ``library``, then move
+    it into place, so concurrent builds never expose a partial file.
+    Raises OSError on failure."""
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    directory = os.path.dirname(library)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run(
+                ["cc", "-O2", "-shared", "-fPIC",
+                 "-I" + sysconfig.get_paths()["include"], source, "-o", tmp],
+                capture_output=True, timeout=300,
+            )
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cc did not finish: {exc}") from exc
+        if done.returncode != 0:
+            raise OSError(f"cc failed: {done.stderr.decode(errors='replace')}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _compiled_search():
+    """The C search loop, built on first use; None when unavailable."""
+    import sysconfig
+
+    return _build_search(
+        os.path.join(_HERE, "_maxmin.c"),
+        os.path.join(_HERE, "__pycache__",
+                     "_maxmin" + sysconfig.get_config_var("EXT_SUFFIX")),
+    )
 
 
 def backend_name() -> str:
-    return "python"
+    """``"compiled"`` when the C search loop is available, else ``"python"``."""
+    return "compiled" if has_compiled_backend() else "python"
 
 
 def has_compiled_backend() -> bool:
-    return False
+    return _compiled_search() is not None
 
 
 def half_pair_order(n: int) -> list[tuple[int, int]]:
@@ -48,7 +123,9 @@ def _check_backend(backend: str | None):
     if backend in (None, "python"):
         return
     if backend == "compiled":
-        raise ValueError("compiled backend is not available")
+        if not has_compiled_backend():
+            raise ValueError("compiled backend is not available")
+        return
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -91,7 +168,11 @@ def max_min_partition(
     denom = _common_denominator(x for row in functions for x in row)
     flat = [_scaled_int(x, denom) for row in functions for x in row]
     _check_backend(backend)
-    _, labels = _kernels_py.max_min_labels(flat, len(functions), m, n)
+    search = _kernels_py._max_min_search
+    if backend != "python" and m and sum(
+            max(flat[j::m]) for j in range(m)) < _C_TABLE_LIMIT:
+        search = _compiled_search() or search
+    _, labels = _kernels_py.max_min_labels(flat, len(functions), m, n, search)
     return labels
 
 

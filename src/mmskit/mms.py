@@ -64,22 +64,29 @@ def mms(inst: Instance, agent: int, *, max_enum: int = DEFAULT_MAX_ENUM,
     return MmsCertificate(value=value, partition=partition)
 
 
-def share_values(inst: Instance, *, max_enum: int = DEFAULT_MAX_ENUM,
-                 backend: str | None = None) -> tuple[Fraction, ...]:
-    """Every agent's maximin share, one search per distinct family.
+def share_certificates(inst: Instance, *, max_enum: int = DEFAULT_MAX_ENUM,
+                       backend: str | None = None) -> tuple[MmsCertificate, ...]:
+    """Every agent's ``mms`` certificate, one search per distinct family.
 
     An agent whose additive functions equal an earlier agent's (same rows
-    in the same order) has the same share, so it reuses that value.
+    in the same order) has the same search, so it reuses that certificate.
     """
     families = [tuple(f.values for f in v.functions) for v in inst.valuations]
-    values = []
+    certs = []
     for i, fam in enumerate(families):
         first = families.index(fam)
-        values.append(
-            values[first] if first < i
-            else mms(inst, i, max_enum=max_enum, backend=backend).value
+        certs.append(
+            certs[first] if first < i
+            else mms(inst, i, max_enum=max_enum, backend=backend)
         )
-    return tuple(values)
+    return tuple(certs)
+
+
+def share_values(inst: Instance, *, max_enum: int = DEFAULT_MAX_ENUM,
+                 backend: str | None = None) -> tuple[Fraction, ...]:
+    """Every agent's maximin share, one search per distinct family."""
+    return tuple(c.value for c in share_certificates(
+        inst, max_enum=max_enum, backend=backend))
 
 
 def proportional_share(inst: Instance, agent: int) -> Fraction:

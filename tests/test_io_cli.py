@@ -8,7 +8,7 @@ import os
 import pytest
 
 import mmskit as mk
-from mmskit import cli
+from mmskit import cli, engine
 from mmskit.instancefile import (
     ResultDocument,
     parse_instance,
@@ -153,6 +153,29 @@ def test_cli_mms_json(capsys):
     data = json.loads(out)
     assert data["mms"] == ["2", "2"]
     assert data["partitions"][0] == [[0, 1], [2, 3]]
+
+
+def test_cli_mms_searches_identical_agents_once(tmp_path, capsys, monkeypatch):
+    inst = mk.grid_instance(3)
+    path = tmp_path / "grid3.json"
+    path.write_text(serialize_instance(inst))
+    certs = [mk.mms(inst, i) for i in range(inst.n)]
+    expected = json.dumps({
+        "mms": [str(c.value) for c in certs],
+        "partitions": [[sorted(b) for b in c.partition] for c in certs],
+    }, indent=2) + "\n"
+    calls = []
+    search = engine.max_min_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "max_min_partition", counted)
+    rc, out = run_cli(capsys, ["mms", str(path), "--json"])
+    assert rc == 0
+    assert len(calls) == 1
+    assert out == expected
 
 
 def test_cli_solve_det_json(capsys):

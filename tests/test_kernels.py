@@ -1,20 +1,25 @@
 """Search kernels against the brute-force oracles on edge cases and against
 the exhaustive scans on random tables, bit for bit including tie-breaks,
 the value-first partition search against the single-phase search it
-replaced at sizes the scans cannot reach, and the regressions the
-branch-and-bound search must keep: no recursion limit on long instances,
-budgets still counted on the full assignment space, and exact results on
-values far beyond 64 bits."""
+replaced at sizes the scans cannot reach, the C search loop against the
+pure one node for node, with the routing between them and the fallback
+when the C loop cannot be built, and the regressions the branch-and-bound
+search must keep: no recursion limit on long instances, budgets still
+counted on the full assignment space, and exact results on values far
+beyond 64 bits."""
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
+import shutil
 
 import pytest
 
 import mmskit as mk
-from mmskit import _kernels_py
+from mmskit import _kernels_py, engine
 from mmskit._kernels_py import _greedy_value, _max_min_search
 from mmskit.engine import _pad_families, half_pair_order
 
@@ -26,6 +31,8 @@ from conftest import (
     scan_best_choice_labels,
     scan_best_owner_labels,
     scan_max_min_labels,
+    F,
+    suite_instances,
 )
 
 # (n, m, largest entry): tie-heavy tables, all-zero tables, more bundles
@@ -205,7 +212,7 @@ def test_search_stops_at_first_labeling_reaching_target():
         ]
         for t in range(max(worth) + 1):
             first = next(i for i, w in enumerate(worth) if w >= t)
-            assert _max_min_search(rows, n, t - 1, t) == (
+            assert _max_min_search(rows, n, t - 1, t)[:2] == (
                 worth[first], list(labelings[first]))
         assert _max_min_search(rows, n, max(worth), max(worth) + 1)[1] is None
 
@@ -269,3 +276,159 @@ def test_backend_argument_selects_pure():
     b = mk.mms(inst, 0, backend="compiled")
     assert a.value == b.value
     assert a.partition == b.partition
+
+
+# ---------------------------------------------------------------------------
+# the C search loop
+
+
+@pytest.fixture(scope="module")
+def c_search():
+    search = engine._compiled_search()
+    if search is None:
+        pytest.skip("the C search loop could not be built (no cc or Python.h)")
+    return search
+
+
+def _checked(c_search, nodes):
+    """A search for max_min_labels that runs both loops, requires equal
+    (best, labels, nodes) and logs the node count of each run."""
+    def search(rows, n, floor, target):
+        want = _max_min_search(rows, n, floor, target)
+        assert c_search(rows, n, floor, target) == want
+        nodes.append(want[2])
+        return want
+    return search
+
+
+def test_c_loop_matches_pure_loop(c_search):
+    # both phases as max_min_labels runs them, and whole searches from the
+    # lowest floor; n > m, all-zero tables (maxval 0) and repeated columns
+    # included, and n = 1 or m < 2, which max_min_labels answers directly
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 12)
+        nfun = rng.randint(1, 3)
+        flat = tables(rng, nfun, m, hi=rng.choice([0, 1, 3, 20, 1000]))
+        if m and rng.random() < 0.3:
+            for _ in range(m // 2):
+                a, b = rng.randrange(m), rng.randrange(m)
+                for k in range(nfun):
+                    flat[k * m + b] = flat[k * m + a]
+        got = _kernels_py.max_min_labels(flat, nfun, m, n, _checked(c_search, []))
+        assert got == _kernels_py.max_min_labels(flat, nfun, m, n)
+        if n ** m <= 5000:
+            assert got == scan_max_min_labels(flat, nfun, m, n)
+        elif m <= 10:
+            assert got == lex_max_min_labels(flat, nfun, m, n)
+        if n >= 2 and m >= 2:
+            rows = [flat[k * m:(k + 1) * m] for k in range(nfun)]
+            assert c_search(rows, n, -1, 1 << 61) == _max_min_search(
+                rows, n, -1, 1 << 61)
+
+
+def _dense_table():
+    rng = random.Random(1)
+    return [rng.randint(1, 3) for _ in range(2 * 24)], 2, 24, 4
+
+
+def _instance_table(inst):
+    rows = [f.values for f in inst.valuations[0].functions]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [int(x * d) for row in rows for x in row], len(rows), inst.m, inst.n
+
+
+# node counts of phase A (when it runs) and phase B, identical on both
+# loops: a weaker bound or state rule keeps every answer exact and shows
+# only here
+NODE_TABLES = {
+    "grid3": (lambda: _instance_table(mk.grid_instance(3)), [34, 15]),
+    "mms-det": (lambda: _instance_table(mk.gen_instance(
+        "random-xos", n=3, m=10, l=2, maxval=20, seed=3)), [531, 222]),
+    "dense": (_dense_table, [902, 1292]),
+}
+
+
+@pytest.mark.parametrize("make,want", NODE_TABLES.values(), ids=list(NODE_TABLES))
+def test_search_node_counts_are_pinned(make, want, c_search):
+    flat, nfun, m, n = make()
+    nodes = []
+    _kernels_py.max_min_labels(flat, nfun, m, n, _checked(c_search, nodes))
+    assert nodes == want
+
+
+def _spy_on_c_loop(monkeypatch, c_search):
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        return c_search(*args)
+
+    monkeypatch.setattr(engine, "_compiled_search", lambda: search)
+    return calls
+
+
+@pytest.mark.parametrize("rows,on_c", [
+    ([[1 << 60] * 3 + [(1 << 60) - 1]], True),
+    ([[1 << 60] * 4], False),
+    # row sums of 2^61, but the largest entries of the items sum to 2^62
+    ([[1 << 61, 0, 0], [0, 1 << 61, 0]], False),
+], ids=["below-2^62", "at-2^62", "columns-at-2^62"])
+def test_c_loop_runs_below_the_int64_guard(rows, on_c, c_search, monkeypatch):
+    functions = [[F(x) for x in row] for row in rows]
+    m = len(rows[0])
+    want = engine.max_min_partition(functions, 2, m, backend="python")
+    calls = _spy_on_c_loop(monkeypatch, c_search)
+    assert engine.max_min_partition(functions, 2, m) == want
+    assert bool(calls) == on_c
+    flat = [x for row in rows for x in row]
+    assert want == scan_max_min_labels(flat, len(rows), m, 2)[1]
+
+
+def test_python_backend_bypasses_c_loop(c_search, monkeypatch):
+    calls = _spy_on_c_loop(monkeypatch, c_search)
+    inst = mk.gen_instance("random-xos", n=3, m=7, l=2, maxval=9, seed=5)
+    pure = mk.mms(inst, 0, backend="python")
+    assert calls == []
+    assert mk.mms(inst, 0) == pure
+    assert calls
+
+
+def test_unavailable_c_loop_falls_back(monkeypatch):
+    inst = mk.gen_instance("random-xos", n=3, m=8, l=2, maxval=20, seed=2)
+    want = [mk.mms(inst, i) for i in range(inst.n)]
+    monkeypatch.setattr(engine, "_compiled_search", lambda: None)
+    assert mk.backend_name() == "python"
+    assert not mk.has_compiled_backend()
+    assert [mk.mms(inst, i) for i in range(inst.n)] == want
+    with pytest.raises(ValueError, match="not available"):
+        mk.mms(inst, 0, backend="compiled")
+
+
+def test_library_build_and_its_failures(tmp_path, monkeypatch):
+    source = os.path.join(os.path.dirname(engine.__file__), "_maxmin.c")
+    rows = [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]]
+    if shutil.which("cc"):
+        library = tmp_path / "built" / "_maxmin.so"
+        search = engine._build_search(source, str(library))
+        assert search(rows, 3, -1, 99) == _max_min_search(rows, 3, -1, 99)
+        # a source newer than the library is compiled again
+        os.utime(library, (0, 0))
+        engine._build_search(source, str(library))
+        assert os.path.getmtime(library) > 0
+        broken = tmp_path / "broken.c"
+        broken.write_text("not C\n")
+        assert engine._build_search(str(broken), str(tmp_path / "b" / "x.so")) is None
+        assert os.listdir(tmp_path / "b") == []  # no partial file is left
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    assert engine._build_search(source, str(tmp_path / "c" / "_maxmin.so")) is None
+    assert os.listdir(tmp_path / "c") == []
+
+
+def test_pipelines_identical_across_backends():
+    for inst in suite_instances():
+        assert mk.solve_deterministic(inst) == mk.solve_deterministic(
+            inst, backend="python")
+        assert mk.solve_randomized(inst) == mk.solve_randomized(
+            inst, backend="python")
