@@ -1,23 +1,27 @@
 """The search kernels behind the three exact searches.
 
-They take flat integer tables scaled by ``engine`` and compute in Python
+They take nested integer rows scaled by ``engine`` (one agent's rows for a
+partition, a list of rows per agent for welfare) and compute in Python
 ints, so no magnitude can overflow.  The max-min search loop,
 ``_max_min_search``, also exists in C (``_maxmin.c``), for tables that fit
 int64; ``max_min_labels`` takes the loop to run as an argument.
 
-``best_choice_labels`` (capped welfare) runs an iterative depth-first
-branch and bound over label sequences in ascending lexicographic order.  A
-subtree is pruned when an optimistic bound on its objective is at most the
-best value found so far, and only a strict improvement replaces the
-incumbent, so the answer is the lexicographically first optimum, exactly as
-an exhaustive scan would return it.
+Each search has its own depth-first loop, with the move, the undo and the
+bound in the loop body.  Both walk label sequences in ascending
+lexicographic order, prune a subtree whose optimistic bound is at most the
+best value found so far, keep only strict improvements and count one node
+per label given.
+
+``best_choice_labels`` (capped welfare) makes one such run, so its answer
+is the lexicographically first optimum, exactly as an exhaustive scan
+would return it.
 
 ``max_min_labels`` (the max-min partition) finds the value first and the
-witness second, with two runs of one dedicated search loop.  The first
-proves the optimum value on the items reordered largest first, starting
-from a greedy partition's value; the second walks the items in their own
-order with the incumbent just below that value and stops at the first
-labeling that reaches it, which is the lexicographically first optimum.
+witness second, with two runs of ``_max_min_search``.  The first proves
+the optimum value on the items reordered largest first, starting from a
+greedy partition's value; the second walks the items in their own order
+with the incumbent just below that value and stops at the first labeling
+that reaches it, which is the lexicographically first optimum.
 
 The bounds rely on non-negative table entries, which the valuation layer
 guarantees.
@@ -26,45 +30,6 @@ guarantees.
 from __future__ import annotations
 
 from operator import add
-
-
-def _branch_and_bound(m, width, step, undo):
-    """Lexicographically first label sequence of length m maximizing a value.
-
-    ``width(j)`` is the number of labels item j may take; it is read once
-    per visit of depth j, after items 0..j-1 are labeled.  ``step(j, c)``
-    gives item j label c and returns an upper bound on the value of every
-    completion of the labeled prefix, which must be the exact value once the
-    last item is labeled.  ``undo(j, c)`` reverts ``step(j, c)``.  Values
-    are non-negative integers and the empty sequence is worth 0.
-    Returns (best value, labels).
-    """
-    if m == 0:
-        return 0, []
-    last = m - 1
-    lab = [-1] * m
-    lim = [0] * m
-    lim[0] = width(0)
-    best, best_lab = -1, []
-    j = 0
-    while j >= 0:
-        c = lab[j]
-        if c >= 0:
-            undo(j, c)
-        c += 1
-        if c == lim[j]:
-            lab[j] = -1
-            j -= 1
-            continue
-        lab[j] = c
-        opt = step(j, c)
-        if opt > best:
-            if j == last:
-                best, best_lab = opt, lab[:]
-            else:
-                j += 1
-                lim[j] = width(j)
-    return best, best_lab
 
 
 def _suffix_bounds(rows, m):
@@ -194,10 +159,11 @@ def _max_min_search(rows, n, floor, target):
     return best, best_lab, nodes
 
 
-def max_min_labels(flat, nfun, m, n, search=_max_min_search):
-    """Assign m items to n bundles maximizing the minimum bundle value.
+def max_min_labels(rows, n, search=_max_min_search):
+    """Assign the items of ``rows`` to n bundles maximizing the minimum
+    bundle value.
 
-    flat: row-major nfun x m non-negative integer table for one agent.
+    rows: one agent's non-negative integer rows, all of the same length m.
     Returns (best objective, labels), labels lexicographically smallest.
     ``search`` runs both phases: ``_max_min_search`` or the C loop of the
     same signature and node sequence, which ``engine`` passes when it is
@@ -220,7 +186,7 @@ def max_min_labels(flat, nfun, m, n, search=_max_min_search):
     that could not beat OPT - 1, so the labels are the lexicographically
     first optimum, exactly what an exhaustive scan returns.
     """
-    rows = [flat[k * m:(k + 1) * m] for k in range(nfun)]
+    m = len(rows[0])
     if n == 1:
         return max(map(sum, rows)), [0] * m
     if n > m:
@@ -236,61 +202,74 @@ def max_min_labels(flat, nfun, m, n, search=_max_min_search):
     return search(rows, n, opt - 1, opt)[:2]
 
 
-def best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b):
+def best_choice_labels(families, caps, pairs):
     """Capped-welfare maximizer over per-item whole/split choices.
 
-    Per-item choices: whole to agent c (c < n), else split between the pair
-    (pair_a[c-n], pair_b[c-n]).  Values in ``flat`` (agent-major n x nfmax
-    x m, short families padded with zero rows) are on the half-share scale,
-    so a whole share adds twice the table entry; ``caps`` must be
-    pre-doubled by the caller to match.  With no pairs this is integral
-    capped welfare at twice its value.
-    Returns (welfare, choices), choices lexicographically smallest.
+    ``families[i]`` is agent i's list of integer rows, of any length; every
+    row has one entry per item.  Per-item choices: whole to agent c
+    (c < n), else split between the agents of ``pairs[c - n]``.  Values are
+    on the half-share scale, so a whole share adds twice the table entry;
+    ``caps`` must be pre-doubled by the caller to match.  With no pairs
+    this is integral capped welfare at twice its value.
+    Returns (welfare, choices, nodes), choices lexicographically smallest;
+    nodes counts the labels given to items.
 
     The bound on a prefix is the smaller of the capped welfare if every
     agent also got all remaining items under her best row, and the current
     welfare plus the largest share of every remaining item.
     """
-    nch = n + len(pair_a)
-    rows = [
-        [flat[(i * nfmax + k) * m:(i * nfmax + k + 1) * m] for k in range(nfmax)]
-        for i in range(n)
-    ]
+    n = len(families)
+    m = len(families[0][0])
+    if m == 0:
+        return 0, [], 0
+    nch = n + len(pairs)
     # bounds on the half-share scale, where a whole item counts twice;
     # remmax_at[j][i] is agent i's best row sum over items j..
-    per_agent = [_suffix_bounds(agent, m)[0] for agent in rows]
+    per_agent = [_suffix_bounds(fam, m)[0] for fam in families]
     remmax_at = [[2 * rm[j] for rm in per_agent] for j in range(m + 1)]
-    _, remtot = _suffix_bounds([row for agent in rows for row in agent], m)
+    _, remtot = _suffix_bounds([row for fam in families for row in fam], m)
     remtot = [2 * x for x in remtot]
     # moves[j][c]: (agent, column added to her row sums) per share of choice c
     moves = []
     for j in range(m):
-        half = [[row[j] for row in agent] for agent in rows]
+        half = [[row[j] for row in fam] for fam in families]
         whole = [[2 * x for x in col] for col in half]
         moves.append(
             [((c, whole[c]),) for c in range(n)]
-            + [((a, half[a]), (b, half[b])) for a, b in zip(pair_a, pair_b)]
+            + [((a, half[a]), (b, half[b])) for a, b in pairs]
         )
-    sums = [[0] * nfmax for _ in range(n)]
+    sums = [[0] * len(fam) for fam in families]
     raw = [0] * n
+    last = m - 1
+    lab = [-1] * m
     saved = [None] * m
-
-    def width(j):
-        return nch
-
-    def step(j, c):
+    best, best_lab = -1, []
+    nodes = 0
+    j = 0
+    while j >= 0:
+        c = lab[j]
+        if c >= 0:
+            for (i, _), (s, r) in zip(moves[j][c], saved[j]):
+                sums[i] = s
+                raw[i] = r
+        c += 1
+        if c == nch:
+            lab[j] = -1
+            j -= 1
+            continue
+        lab[j] = c
+        nodes += 1
         mv = moves[j][c]
-        saved[j] = [sums[i] for i, _ in mv]
+        saved[j] = [(sums[i], raw[i]) for i, _ in mv]
         for i, col in mv:
             s = sums[i] = list(map(add, sums[i], col))
             raw[i] = max(s)
+        k = j + 1
         total = sum(map(min, caps, raw))
-        reach = sum(map(min, caps, map(add, raw, remmax_at[j + 1])))
-        return min(reach, total + remtot[j + 1])
-
-    def undo(j, c):
-        for (i, _), s in zip(moves[j][c], saved[j]):
-            sums[i] = s
-            raw[i] = max(s)
-
-    return _branch_and_bound(m, width, step, undo)
+        reach = sum(map(min, caps, map(add, raw, remmax_at[k])))
+        if min(reach, total + remtot[k]) > best:
+            if j == last:
+                best, best_lab = total, lab[:]
+            else:
+                j = k
+    return best, best_lab, nodes

@@ -162,22 +162,17 @@ def max_welfare_integral(
     caps,
     *,
     max_enum: int = DEFAULT_MAX_ENUM,
-    backend: str | None = None,
 ) -> Allocation:
     """Exact owner-per-item search maximizing capped welfare.
 
     The objective is the sum over agents of min(cap_i, v_i(bundle)).  Ties
     break to the lexicographically smallest owner sequence.
     """
-    caps = [Fraction(c) for c in caps]
-    if len(caps) != inst.n:
-        raise ValueError("need one cap per agent")
     owners = engine.best_integral_welfare(
         [[f.values for f in v.functions] for v in inst.valuations],
         caps,
         inst.m,
         max_enum=max_enum,
-        backend=backend,
     )
     return Allocation(tuple(owners))
 
@@ -187,7 +182,6 @@ def max_welfare_half_integral(
     caps,
     *,
     max_enum: int = DEFAULT_MAX_ENUM,
-    backend: str | None = None,
 ) -> FractionalAllocation:
     """Capped-welfare optimum where items may split half/half across a pair.
 
@@ -196,15 +190,11 @@ def max_welfare_half_integral(
     the lexicographically smallest per-item choice sequence (whole
     assignments in agent order first, then pairs in lexicographic order).
     """
-    caps = [Fraction(c) for c in caps]
-    if len(caps) != inst.n:
-        raise ValueError("need one cap per agent")
     choices, pairs = engine.best_half_integral_welfare(
         [[f.values for f in v.functions] for v in inst.valuations],
         caps,
         inst.m,
         max_enum=max_enum,
-        backend=backend,
     )
     rows = [[ZERO] * inst.m for _ in range(inst.n)]
     for j, c in enumerate(choices):
@@ -285,7 +275,7 @@ def solve_deterministic(
     if state.agents:
         sub = restrict_instance(norm, state.agents, state.items)
         caps = _caps(DET_CAP, factors, state.agents)
-        sub_alloc = max_welfare_integral(sub, caps, max_enum=max_enum, backend=backend)
+        sub_alloc = max_welfare_integral(sub, caps, max_enum=max_enum)
         sub_owner = list(sub_alloc.owner)
         welfare = ZERO
         for local, agent in enumerate(state.agents):
@@ -327,7 +317,7 @@ def solve_randomized(
 
     sub = restrict_instance(norm, state.agents, state.items)
     caps = _caps(RAND_CAP, factors, state.agents)
-    frac = max_welfare_half_integral(sub, caps, max_enum=max_enum, backend=backend)
+    frac = max_welfare_half_integral(sub, caps, max_enum=max_enum)
     welfare = ZERO
     for local in range(sub.n):
         welfare += min(caps[local], sub.valuations[local].fractional_value(frac.shares[local]))

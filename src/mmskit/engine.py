@@ -8,11 +8,12 @@ assignment count (n^m, or (n + C(n,2))^m with splits) against ``max_enum``,
 a worst-case budget: the kernels prune by branch and bound and usually
 visit far fewer assignments.
 
-The kernels work on integer tables.  Every rational in a call is multiplied
-by the least common multiple of the denominators involved, so kernel
-arithmetic is exact and unbounded (Python ints); certificates are decoded
-back and re-evaluated in ``Fraction`` by the callers, which keeps the
-rational layer authoritative.
+The kernels work on nested integer rows: one agent's rows for a partition,
+one list of rows per agent, of any length, for welfare.  Every rational in
+a call is multiplied by the least common multiple of the denominators
+involved, so kernel arithmetic is exact and unbounded (Python ints);
+certificates are decoded back and re-evaluated in ``Fraction`` by the
+callers, which keeps the rational layer authoritative.
 
 The max-min partition search has two loops that visit the same nodes:
 ``_kernels_py._max_min_search`` and its C port ``_maxmin.c``.  The first
@@ -23,11 +24,8 @@ read-only directory, a compile or load error) the pure loop serves the rest
 of the process.  ``max_min_partition`` passes the C loop when it is loaded
 and the table's sum over items of the largest scaled entry is below 2^62,
 so no int64 in it can overflow; otherwise the pure loop, whose Python ints
-are unbounded.  The welfare kernel is pure Python.
-
-The ``backend`` keyword of the public entry points: ``None`` chooses as
-above, ``"python"`` forces the pure loop, and ``"compiled"`` chooses as
-above but raises ``ValueError`` when the C loop is unavailable.
+are unbounded.  ``backend="python"`` forces the pure loop; ``None``
+chooses as above.  The welfare kernel is pure Python and takes no backend.
 """
 
 from __future__ import annotations
@@ -119,16 +117,6 @@ def half_pair_order(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def _check_backend(backend: str | None):
-    if backend in (None, "python"):
-        return
-    if backend == "compiled":
-        if not has_compiled_backend():
-            raise ValueError("compiled backend is not available")
-        return
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _check_budget(count: int, max_enum: int, what: str):
     if count > max_enum:
         raise CapacityError(
@@ -166,27 +154,17 @@ def max_min_partition(
         raise ValueError("need at least one bundle")
     _check_budget(n**m, max_enum, f"max-min partition ({n}^{m})")
     denom = _common_denominator(x for row in functions for x in row)
-    flat = [_scaled_int(x, denom) for row in functions for x in row]
-    _check_backend(backend)
+    rows = [[_scaled_int(x, denom) for x in row] for row in functions]
+    if backend not in (None, "python"):
+        raise ValueError(f"unknown backend {backend!r}")
     search = _kernels_py._max_min_search
-    if backend != "python" and m and sum(
-            max(flat[j::m]) for j in range(m)) < _C_TABLE_LIMIT:
+    if backend is None and sum(map(max, zip(*rows))) < _C_TABLE_LIMIT:
         search = _compiled_search() or search
-    _, labels = _kernels_py.max_min_labels(flat, len(functions), m, n, search)
+    _, labels = _kernels_py.max_min_labels(rows, n, search)
     return labels
 
 
-def _pad_families(families, m: int):
-    nfmax = max(len(fam) for fam in families)
-    flat = []
-    for fam in families:
-        for row in fam:
-            flat.extend(row)
-        flat.extend([0] * (m * (nfmax - len(fam))))
-    return flat, nfmax
-
-
-def _capped_welfare_labels(families, caps, m, pairs, what, max_enum, backend):
+def _capped_welfare_labels(families, caps, m, pairs, what, max_enum):
     """Shared driver of both welfare searches: per-item choice labels.
 
     Choices are whole items per agent, then ``pairs`` as half/half splits.
@@ -197,6 +175,8 @@ def _capped_welfare_labels(families, caps, m, pairs, what, max_enum, backend):
     if n < 1:
         raise ValueError("need at least one agent")
     caps = [Fraction(c) for c in caps]
+    if len(caps) != n:
+        raise ValueError("need one cap per agent")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be non-negative")
     nch = n + len(pairs)
@@ -207,12 +187,8 @@ def _capped_welfare_labels(families, caps, m, pairs, what, max_enum, backend):
     int_fams = [
         [[_scaled_int(x, denom) for x in row] for row in fam] for fam in families
     ]
-    flat, nfmax = _pad_families(int_fams, m)
     caps2 = [_scaled_int(2 * c, denom) for c in caps]
-    _check_backend(backend)
-    _, labels = _kernels_py.best_choice_labels(
-        flat, caps2, n, nfmax, m, [a for a, _ in pairs], [b for _, b in pairs]
-    )
+    _, labels, _ = _kernels_py.best_choice_labels(int_fams, caps2, pairs)
     return labels
 
 
@@ -222,7 +198,6 @@ def best_integral_welfare(
     m: int,
     *,
     max_enum: int = DEFAULT_MAX_ENUM,
-    backend: str | None = None,
 ) -> list[int]:
     """Owner per item maximizing the sum of per-agent capped values.
 
@@ -230,7 +205,7 @@ def best_integral_welfare(
     Ties resolve to the lexicographically smallest owner sequence.
     """
     return _capped_welfare_labels(
-        families, caps, m, [], "integral welfare search", max_enum, backend
+        families, caps, m, [], "integral welfare search", max_enum
     )
 
 
@@ -240,7 +215,6 @@ def best_half_integral_welfare(
     m: int,
     *,
     max_enum: int = DEFAULT_MAX_ENUM,
-    backend: str | None = None,
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Per-item choices maximizing capped welfare over half-integral splits.
 
@@ -250,6 +224,6 @@ def best_half_integral_welfare(
     """
     pairs = half_pair_order(len(families))
     choices = _capped_welfare_labels(
-        families, caps, m, pairs, "half-integral welfare search", max_enum, backend
+        families, caps, m, pairs, "half-integral welfare search", max_enum
     )
     return choices, pairs

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import mmskit as mk
+from mmskit import engine
 from conftest import (
     F,
     oracle_half_welfare,
@@ -56,6 +57,21 @@ def test_integral_welfare_caps_validated():
         mk.max_welfare_integral(inst, [F(-1)])
     with pytest.raises(ValueError):
         mk.max_welfare_half_integral(inst, [F(-1, 2)])
+
+
+def test_welfare_caps_need_one_per_agent():
+    # a short caps list must not silently drop the agents past its end
+    families = [[[F(1), F(1)]], [[F(5), F(5)]], [[F(9), F(9)]]]
+    inst = mk.instance_from_lists(families)
+    for caps in ([10, 10], [10, 10, 10, 10]):
+        for search in (engine.best_integral_welfare,
+                       engine.best_half_integral_welfare):
+            with pytest.raises(ValueError, match="one cap per agent"):
+                search(families, caps, 2)
+        with pytest.raises(ValueError, match="one cap per agent"):
+            mk.max_welfare_integral(inst, caps)
+        with pytest.raises(ValueError, match="one cap per agent"):
+            mk.max_welfare_half_integral(inst, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ the exhaustive scans on random tables, bit for bit including tie-breaks,
 the value-first partition search against the single-phase search it
 replaced at sizes the scans cannot reach, the C search loop against the
 pure one node for node, with the routing between them and the fallback
-when the C loop cannot be built, and the regressions the branch-and-bound
-search must keep: no recursion limit on long instances, budgets still
-counted on the full assignment space, and exact results on values far
-beyond 64 bits."""
+when the C loop cannot be built, the welfare loop's node counts, and the
+regressions the branch-and-bound searches must keep: no recursion limit on
+long instances, budgets still counted on the full assignment space, and
+exact results on values far beyond 64 bits."""
 
 from __future__ import annotations
 
@@ -21,13 +21,14 @@ import pytest
 import mmskit as mk
 from mmskit import _kernels_py, engine
 from mmskit._kernels_py import _greedy_value, _max_min_search
-from mmskit.engine import _pad_families, half_pair_order
+from mmskit.engine import half_pair_order
 
 from conftest import (
     lex_max_min_labels,
     oracle_half_welfare,
     oracle_integral_welfare,
     oracle_partition,
+    raw_instance,
     scan_best_choice_labels,
     scan_best_owner_labels,
     scan_max_min_labels,
@@ -44,7 +45,7 @@ SHAPES = [
 
 
 def _families(rng, n, m, hi):
-    """Agent families of 1..3 rows each, so short families get padded."""
+    """Agent families of 1..3 rows each, so families differ in length."""
     return [
         [[rng.randint(0, hi) for _ in range(m)] for _ in range(rng.randint(1, 3))]
         for _ in range(n)
@@ -63,8 +64,7 @@ def test_partition_kernel_matches_oracle(n, m, hi):
     rng = random.Random(100 * n + 10 * m + hi)
     for _ in range(6):
         rows = _families(rng, 1, m, hi)[0]
-        flat = [x for row in rows for x in row]
-        best, labels = _kernels_py.max_min_labels(flat, len(rows), m, n)
+        best, labels = _kernels_py.max_min_labels(rows, n)
         want, want_labels = oracle_partition(rows, n, m)
         assert (best, tuple(labels)) == (want, want_labels)
 
@@ -78,9 +78,8 @@ def test_integral_welfare_kernel_matches_oracle(n, m, hi):
     for _ in range(6):
         families = _families(rng, n, m, hi)
         caps = _caps(rng, families, hi)
-        flat, nfmax = _pad_families(families, m)
-        best, owners = _kernels_py.best_choice_labels(
-            flat, [2 * c for c in caps], n, nfmax, m, [], []
+        best, owners, _ = _kernels_py.best_choice_labels(
+            families, [2 * c for c in caps], []
         )
         want, want_owners = oracle_integral_welfare(families, caps, m)
         assert (best, tuple(owners)) == (2 * want, want_owners)
@@ -95,10 +94,8 @@ def test_half_welfare_kernel_matches_oracle(n, m, hi):
     for _ in range(4):
         families = _families(rng, n, m, hi)
         caps = _caps(rng, families, hi)
-        flat, nfmax = _pad_families(families, m)
-        best, choices = _kernels_py.best_choice_labels(
-            flat, [2 * c for c in caps], n, nfmax, m,
-            [a for a, _ in pairs], [b for _, b in pairs],
+        best, choices, _ = _kernels_py.best_choice_labels(
+            families, [2 * c for c in caps], pairs
         )
         want, want_choices = oracle_half_welfare(families, caps, m)
         assert (best, tuple(choices)) == (2 * want, want_choices)
@@ -129,6 +126,11 @@ def tables(rng, rows, m, lo=0, hi=6):
     return [rng.randint(lo, hi) for _ in range(rows * m)]
 
 
+def unflatten(flat, nrows, m):
+    """The rows of a row-major nrows x m table."""
+    return [flat[k * m:(k + 1) * m] for k in range(nrows)]
+
+
 def test_partition_kernels_agree():
     rng = random.Random(11)
     for _ in range(120):
@@ -138,7 +140,7 @@ def test_partition_kernels_agree():
         flat = tables(rng, nfun, m, hi=4)  # small values force ties
         assert scan_max_min_labels(
             flat, nfun, m, n
-        ) == _kernels_py.max_min_labels(flat, nfun, m, n)
+        ) == _kernels_py.max_min_labels(unflatten(flat, nfun, m), n)
 
 
 def test_partition_kernel_matches_single_phase_search():
@@ -156,7 +158,7 @@ def test_partition_kernel_matches_single_phase_search():
                 for k in range(nfun):
                     flat[k * m + b] = flat[k * m + a]
         assert _kernels_py.max_min_labels(
-            flat, nfun, m, n
+            unflatten(flat, nfun, m), n
         ) == lex_max_min_labels(flat, nfun, m, n)
 
 
@@ -180,18 +182,17 @@ EDGE_TABLES = {
 def test_partition_kernel_edge_tables(rows, n):
     m = len(rows[0])
     flat = [x for row in rows for x in row]
-    assert _kernels_py.max_min_labels(
-        flat, len(rows), m, n
-    ) == scan_max_min_labels(flat, len(rows), m, n)
+    assert _kernels_py.max_min_labels(rows, n) == scan_max_min_labels(
+        flat, len(rows), m, n)
 
 
 def test_greedy_start_is_a_lower_bound():
     below, at = EDGE_TABLES["greedy-below"][0], EDGE_TABLES["greedy-at-optimum"][0]
     assert _greedy_value(below, 2, 5) == 5
-    assert _kernels_py.max_min_labels(below[0], 1, 5, 2) == (6, [0, 0, 1, 1, 1])
+    assert _kernels_py.max_min_labels(below, 2) == (6, [0, 0, 1, 1, 1])
     # root bound 16 // 2 = 8 is above the optimum, so phase A runs
     assert _greedy_value(at, 2, 4) == 7
-    assert _kernels_py.max_min_labels(at[0], 1, 4, 2) == (7, [0, 1, 1, 1])
+    assert _kernels_py.max_min_labels(at, 2) == (7, [0, 1, 1, 1])
 
 
 def test_search_stops_at_first_labeling_reaching_target():
@@ -217,6 +218,12 @@ def test_search_stops_at_first_labeling_reaching_target():
         assert _max_min_search(rows, n, max(worth), max(worth) + 1)[1] is None
 
 
+def _agent_rows(flat, n, nfmax, m):
+    """Per-agent rows of the scans' agent-major n x nfmax x m table."""
+    rows = unflatten(flat, n * nfmax, m)
+    return [rows[i * nfmax:(i + 1) * nfmax] for i in range(n)]
+
+
 def test_owner_kernels_agree():
     # integral welfare is the choice kernel with no split pairs, at twice
     # the value because whole shares count double on the half-share scale
@@ -234,8 +241,8 @@ def test_owner_kernels_agree():
             flat, caps2, n, nfmax, m, [], []
         ) == expected
         assert _kernels_py.best_choice_labels(
-            flat, caps2, n, nfmax, m, [], []
-        ) == expected
+            _agent_rows(flat, n, nfmax, m), caps2, []
+        )[:2] == expected
 
 
 def test_choice_kernels_agree():
@@ -246,11 +253,42 @@ def test_choice_kernels_agree():
         m = rng.randint(1, 9 if n == 2 else 6)
         flat = tables(rng, n * nfmax, m, hi=4)
         caps = [rng.randint(0, 10) for _ in range(n)]
-        pair_a = [a for a, _ in half_pair_order(n)]
-        pair_b = [b for _, b in half_pair_order(n)]
+        pairs = half_pair_order(n)
         assert scan_best_choice_labels(
-            flat, caps, n, nfmax, m, pair_a, pair_b
-        ) == _kernels_py.best_choice_labels(flat, caps, n, nfmax, m, pair_a, pair_b)
+            flat, caps, n, nfmax, m, [a for a, _ in pairs], [b for _, b in pairs]
+        ) == _kernels_py.best_choice_labels(
+            _agent_rows(flat, n, nfmax, m), caps, pairs)[:2]
+
+
+# (instance, caps, half-integral, nodes): the welfare loop's node counts
+# through the engine, one per label given; a weaker bound keeps every
+# answer exact and shows only here
+WELFARE_NODES = {
+    "grid3-half": (lambda: mk.grid_instance(3), F(1, 2), True, 78),
+    "grid3-integral": (lambda: mk.grid_instance(3), F(6, 13), False, 138),
+    "xos-half": (lambda: mk.gen_instance(
+        "random-xos", n=3, m=9, l=2, maxval=20, seed=3), 20, True, 60),
+    "xos-integral": (lambda: mk.gen_instance(
+        "random-xos", n=3, m=9, l=2, maxval=20, seed=3), 20, False, 30),
+}
+
+
+@pytest.mark.parametrize("make,cap,half,want", WELFARE_NODES.values(),
+                         ids=list(WELFARE_NODES))
+def test_welfare_node_counts_are_pinned(make, cap, half, want, monkeypatch):
+    inst = make()
+    kernel = _kernels_py.best_choice_labels
+    runs = []
+
+    def counted(*args):
+        runs.append(kernel(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(_kernels_py, "best_choice_labels", counted)
+    search = (engine.best_half_integral_welfare if half
+              else engine.best_integral_welfare)
+    search(raw_instance(inst), [cap] * inst.n, inst.m, max_enum=10**8)
+    assert [r[2] for r in runs] == [want]
 
 
 def test_oversized_values_fall_back_exactly():
@@ -266,16 +304,11 @@ def test_oversized_values_fall_back_exactly():
 def test_backend_argument_selects_pure():
     inst = mk.gen_instance("random-xos", n=2, m=5, l=2, maxval=8, seed=3)
     a = mk.mms(inst, 0, backend="python")
-    with pytest.raises(ValueError, match="unknown backend"):
-        mk.mms(inst, 0, backend="native")
-    if not mk.has_compiled_backend():
-        # no build provides the compiled backend; forcing it must refuse loudly
-        with pytest.raises(ValueError):
-            mk.mms(inst, 0, backend="compiled")
-        return
-    b = mk.mms(inst, 0, backend="compiled")
-    assert a.value == b.value
-    assert a.partition == b.partition
+    # None is the only other value: the C loop is chosen per search, never forced
+    for name in ("native", "compiled"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            mk.mms(inst, 0, backend=name)
+    assert mk.mms(inst, 0) == a
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +349,27 @@ def test_c_loop_matches_pure_loop(c_search):
                 a, b = rng.randrange(m), rng.randrange(m)
                 for k in range(nfun):
                     flat[k * m + b] = flat[k * m + a]
-        got = _kernels_py.max_min_labels(flat, nfun, m, n, _checked(c_search, []))
-        assert got == _kernels_py.max_min_labels(flat, nfun, m, n)
+        rows = unflatten(flat, nfun, m)
+        got = _kernels_py.max_min_labels(rows, n, _checked(c_search, []))
+        assert got == _kernels_py.max_min_labels(rows, n)
         if n ** m <= 5000:
             assert got == scan_max_min_labels(flat, nfun, m, n)
         elif m <= 10:
             assert got == lex_max_min_labels(flat, nfun, m, n)
         if n >= 2 and m >= 2:
-            rows = [flat[k * m:(k + 1) * m] for k in range(nfun)]
             assert c_search(rows, n, -1, 1 << 61) == _max_min_search(
                 rows, n, -1, 1 << 61)
 
 
 def _dense_table():
     rng = random.Random(1)
-    return [rng.randint(1, 3) for _ in range(2 * 24)], 2, 24, 4
+    return unflatten([rng.randint(1, 3) for _ in range(2 * 24)], 2, 24), 4
 
 
 def _instance_table(inst):
     rows = [f.values for f in inst.valuations[0].functions]
     d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [int(x * d) for row in rows for x in row], len(rows), inst.m, inst.n
+    return [[int(x * d) for x in row] for row in rows], inst.n
 
 
 # node counts of phase A (when it runs) and phase B, identical on both
@@ -352,9 +385,9 @@ NODE_TABLES = {
 
 @pytest.mark.parametrize("make,want", NODE_TABLES.values(), ids=list(NODE_TABLES))
 def test_search_node_counts_are_pinned(make, want, c_search):
-    flat, nfun, m, n = make()
+    rows, n = make()
     nodes = []
-    _kernels_py.max_min_labels(flat, nfun, m, n, _checked(c_search, nodes))
+    _kernels_py.max_min_labels(rows, n, _checked(c_search, nodes))
     assert nodes == want
 
 
@@ -402,8 +435,6 @@ def test_unavailable_c_loop_falls_back(monkeypatch):
     assert mk.backend_name() == "python"
     assert not mk.has_compiled_backend()
     assert [mk.mms(inst, i) for i in range(inst.n)] == want
-    with pytest.raises(ValueError, match="not available"):
-        mk.mms(inst, 0, backend="compiled")
 
 
 def test_library_build_and_its_failures(tmp_path, monkeypatch):
