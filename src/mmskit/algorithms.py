@@ -14,6 +14,7 @@ lexicographic index order, first hit wins) so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,6 +158,18 @@ def tuple_phase(
     return _phase(state, size, size if step is None else step, thresholds, trace)
 
 
+def _welfare_tables(inst: Instance, caps):
+    """Every agent's integer rows over one common denominator, and the caps
+    in the same units: the welfare kernels' inputs, scaled by ints only."""
+    den = math.lcm(*(v.int_table[0] for v in inst.valuations))
+    families = []
+    for v in inst.valuations:
+        own, rows = v.int_table
+        lift = den // own
+        families.append(rows if lift == 1 else [[r * lift for r in row] for row in rows])
+    return families, [Fraction(c) * den for c in caps]
+
+
 def max_welfare_integral(
     inst: Instance,
     caps,
@@ -169,10 +182,7 @@ def max_welfare_integral(
     break to the lexicographically smallest owner sequence.
     """
     owners = engine.best_integral_welfare(
-        [[f.values for f in v.functions] for v in inst.valuations],
-        caps,
-        inst.m,
-        max_enum=max_enum,
+        *_welfare_tables(inst, caps), inst.m, max_enum=max_enum
     )
     return Allocation(tuple(owners))
 
@@ -191,10 +201,7 @@ def max_welfare_half_integral(
     assignments in agent order first, then pairs in lexicographic order).
     """
     choices, pairs = engine.best_half_integral_welfare(
-        [[f.values for f in v.functions] for v in inst.valuations],
-        caps,
-        inst.m,
-        max_enum=max_enum,
+        *_welfare_tables(inst, caps), inst.m, max_enum=max_enum
     )
     rows = [[ZERO] * inst.m for _ in range(inst.n)]
     for j, c in enumerate(choices):

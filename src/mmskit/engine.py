@@ -9,11 +9,15 @@ a worst-case budget: the kernels prune by branch and bound and usually
 visit far fewer assignments.
 
 The kernels work on nested integer rows: one agent's rows for a partition,
-one list of rows per agent, of any length, for welfare.  Every rational in
-a call is multiplied by the least common multiple of the denominators
-involved, so kernel arithmetic is exact and unbounded (Python ints);
-certificates are decoded back and re-evaluated in ``Fraction`` by the
-callers, which keeps the rational layer authoritative.
+one list of rows per agent, of any length, for welfare.  The entry points
+take rows of any rationals, ints included, and multiply every number in a
+call by the least common multiple of the denominators involved, in int
+arithmetic (numerator times a cofactor), so kernel arithmetic is exact and
+unbounded (Python ints).  The package's callers pass integer rows already:
+an XOS valuation's ``int_table``, lifted to one common denominator across
+agents for welfare, with the caps multiplied by it, so only the caps can
+still carry a denominator.  Certificates are decoded back and re-evaluated
+by the callers, which keeps the rational layer authoritative.
 
 The max-min partition search has two loops that visit the same nodes:
 ``_kernels_py._max_min_search`` and its C port ``_maxmin.c``.  The first
@@ -34,6 +38,7 @@ import functools
 import math
 import os
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import CapacityError
@@ -125,17 +130,18 @@ def _check_budget(count: int, max_enum: int, what: str):
         )
 
 
-def _common_denominator(fracs) -> int:
-    d = 1
-    for x in fracs:
-        d = math.lcm(d, x.denominator)
-    return d
+def _common_denominator(numbers) -> int:
+    return math.lcm(*{x.denominator for x in numbers})
 
 
-def _scaled_int(x: Fraction, denom: int) -> int:
-    y = x * denom
+def _scaled_int(x, denom: int) -> int:
     # denom is a multiple of x.denominator by construction
-    return y.numerator // y.denominator if y.denominator != 1 else y.numerator
+    return x.numerator * (denom // x.denominator)
+
+
+def _check_rows(rows, m: int) -> None:
+    if any(len(row) != m for row in rows):
+        raise ValueError(f"every row must have m = {m} entries")
 
 
 def max_min_partition(
@@ -148,10 +154,11 @@ def max_min_partition(
 ) -> list[int]:
     """Labels of the lexicographically first max-min partition into n bundles.
 
-    ``functions`` is one agent's additive family as rows of rationals.
+    ``functions`` is one agent's additive family as rows of m rationals.
     """
     if n < 1:
         raise ValueError("need at least one bundle")
+    _check_rows(functions, m)
     _check_budget(n**m, max_enum, f"max-min partition ({n}^{m})")
     denom = _common_denominator(x for row in functions for x in row)
     rows = [[_scaled_int(x, denom) for x in row] for row in functions]
@@ -179,15 +186,17 @@ def _capped_welfare_labels(families, caps, m, pairs, what, max_enum):
         raise ValueError("need one cap per agent")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be non-negative")
+    for fam in families:
+        _check_rows(fam, m)
     nch = n + len(pairs)
     _check_budget(nch**m, max_enum, f"{what} ({nch}^{m})")
     denom = _common_denominator(
-        [x for fam in families for row in fam for x in row] + caps
+        chain([x for fam in families for row in fam for x in row], caps)
     )
     int_fams = [
         [[_scaled_int(x, denom) for x in row] for row in fam] for fam in families
     ]
-    caps2 = [_scaled_int(2 * c, denom) for c in caps]
+    caps2 = [2 * _scaled_int(c, denom) for c in caps]
     _, labels, _ = _kernels_py.best_choice_labels(int_fams, caps2, pairs)
     return labels
 

@@ -54,7 +54,7 @@ def mms(inst: Instance, agent: int, *, max_enum: int = DEFAULT_MAX_ENUM,
         raise IndexError(f"agent index {agent} out of range")
     v = inst.valuations[agent]
     labels = engine.max_min_partition(
-        [f.values for f in v.functions], inst.n, inst.m,
+        v.int_table[1], inst.n, inst.m,
         max_enum=max_enum, backend=backend,
     )
     partition = tuple(
@@ -69,9 +69,10 @@ def share_certificates(inst: Instance, *, max_enum: int = DEFAULT_MAX_ENUM,
     """Every agent's ``mms`` certificate, one search per distinct family.
 
     An agent whose additive functions equal an earlier agent's (same rows
-    in the same order) has the same search, so it reuses that certificate.
+    in the same order, so the same integer table) has the same search, so
+    it reuses that certificate.
     """
-    families = [tuple(f.values for f in v.functions) for v in inst.valuations]
+    families = [v.int_table for v in inst.valuations]
     certs = []
     for i, fam in enumerate(families):
         first = families.index(fam)

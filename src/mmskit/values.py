@@ -1,8 +1,15 @@
 """Exact valuation types: additive functions, XOS valuations, instances.
 
-All numeric values are ``fractions.Fraction``.  Nothing in this module (or
-anywhere else in the core) touches floating point; every comparison made by
-the solvers and the verification harness is exact.
+Every entry a caller sees is a ``fractions.Fraction``.  Nothing in this
+module (or anywhere else in the core) touches floating point; every
+comparison made by the solvers and the verification harness is exact.
+
+Each XOS valuation also has one exact integer form, ``int_table``: the
+least common multiple ``den`` of its entries' denominators, and its rows
+times ``den`` as Python ints.  Evaluation sums these ints and builds one
+``Fraction`` per result; scaling and restriction derive the new table by
+int multiplication and slicing, and the search kernels take its rows as
+they are.
 
 An XOS valuation is the pointwise maximum of a finite family of additive
 functions.  The family member attaining the maximum on a set is called the
@@ -12,8 +19,12 @@ routine that depends on a witness uses that same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -51,20 +62,6 @@ class AdditiveFunction:
     def __len__(self) -> int:
         return len(self.values)
 
-    def value(self, items: Iterable[int]) -> Fraction:
-        total = ZERO
-        for j in _item_set(items, len(self.values)):
-            total += self.values[j]
-        return total
-
-    def fractional_value(self, shares: Sequence[Fraction]) -> Fraction:
-        if len(shares) != len(self.values):
-            raise ValueError("share vector length does not match item count")
-        total = ZERO
-        for x, s in zip(self.values, shares):
-            total += x * s
-        return total
-
 
 @dataclass(frozen=True)
 class XosValuation:
@@ -89,27 +86,48 @@ class XosValuation:
     def m(self) -> int:
         return len(self.functions[0])
 
-    def _best(self, per_function: Sequence[Fraction]) -> tuple[int, Fraction]:
-        # first maximizer wins, so the witness index is the smallest one
-        best_k, best = 0, per_function[0]
-        for k in range(1, len(per_function)):
-            if per_function[k] > best:
-                best_k, best = k, per_function[k]
-        return best_k, best
+    @cached_property
+    def int_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)``: den is the lcm of the entries' reduced
+        denominators, rows the entries times den as ints.
+
+        Built on first use and kept beside the fields, so it takes no part
+        in equality, hashing or ``repr``.
+        """
+        rows = [f.values for f in self.functions]
+        den = math.lcm(*{x.denominator for row in rows for x in row})
+        return den, tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
+        )
+
+    def _totals(self, items: Iterable[int]) -> list[int]:
+        s = _item_set(items, self.m)
+        return [sum(map(row.__getitem__, s)) for row in self.int_table[1]]
+
+    def _fractional_totals(self, shares: Sequence[Fraction]) -> tuple[list[int], int]:
+        """Per-row totals of ``shares`` as ints, and their common denominator."""
+        if len(shares) != self.m:
+            raise ValueError("share vector length does not match item count")
+        share_den = math.lcm(*{s.denominator for s in shares})
+        weights = [s.numerator * (share_den // s.denominator) for s in shares]
+        den, rows = self.int_table
+        return [sum(map(mul, row, weights)) for row in rows], den * share_den
 
     def value(self, items: Iterable[int]) -> Fraction:
-        s = _item_set(items, self.m)
-        return self._best([f.value(s) for f in self.functions])[1]
+        return Fraction(max(self._totals(items)), self.int_table[0])
 
     def witness_index(self, items: Iterable[int]) -> int:
-        s = _item_set(items, self.m)
-        return self._best([f.value(s) for f in self.functions])[0]
+        totals = self._totals(items)
+        # index finds the first maximizer: ties go to the smallest index
+        return totals.index(max(totals))
 
     def fractional_value(self, shares: Sequence[Fraction]) -> Fraction:
-        return self._best([f.fractional_value(shares) for f in self.functions])[1]
+        totals, den = self._fractional_totals(shares)
+        return Fraction(max(totals), den)
 
     def fractional_witness_index(self, shares: Sequence[Fraction]) -> int:
-        return self._best([f.fractional_value(shares) for f in self.functions])[0]
+        totals, _ = self._fractional_totals(shares)
+        return totals.index(max(totals))
 
     def truncate(self, cap: Fraction) -> "TruncatedValuation":
         return TruncatedValuation(self, Fraction(cap))
@@ -119,12 +137,39 @@ class XosValuation:
         factor = Fraction(factor)
         if factor < 0:
             raise ValueError("scaling factor must be non-negative")
-        return XosValuation(
-            tuple(
-                AdditiveFunction(tuple(x * factor for x in f.values))
-                for f in self.functions
-            )
-        )
+        den, rows = self.int_table
+        p = factor.numerator
+        den, rows = _reduced(den * factor.denominator,
+                             [[r * p for r in row] for row in rows])
+        return _derived([[Fraction(r, den) for r in row] for row in rows], den, rows)
+
+
+def _reduced(den: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The table rows / den over the lcm of its entries' reduced
+    denominators: den and the rows divided by their common factor."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den //= g
+        rows = [[r // g for r in row] for row in rows]
+    return den, tuple(map(tuple, rows))
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance given its fields, without
+    ``__post_init__``: for values derived from already checked ones."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _derived(values, den: int, rows) -> XosValuation:
+    """The valuation with Fraction entries ``values`` and their integer
+    table ``(den, rows)``, both exact by construction."""
+    functions = tuple(
+        _unchecked(AdditiveFunction, values=tuple(row)) for row in values
+    )
+    return _unchecked(XosValuation, functions=functions, int_table=(den, rows))
 
 
 @dataclass(frozen=True)
@@ -237,16 +282,14 @@ def restrict_instance(inst: Instance, agents: Sequence[int], items: Sequence[int
             raise IndexError(f"agent index {i} out of range")
     if len(set(agents)) != len(agents):
         raise ValueError("duplicate agents in restriction")
-    vals = tuple(
-        XosValuation(
-            tuple(
-                AdditiveFunction(tuple(f.values[j] for j in items))
-                for f in inst.valuations[i].functions
-            )
-        )
-        for i in agents
-    )
-    return Instance(m=len(items), valuations=vals, normalized=inst.normalized)
+    vals = []
+    for i in agents:
+        v = inst.valuations[i]
+        den, rows = v.int_table
+        table = _reduced(den, [[row[j] for j in items] for row in rows])
+        vals.append(_derived(
+            [[f.values[j] for j in items] for f in v.functions], *table))
+    return Instance(m=len(items), valuations=tuple(vals), normalized=inst.normalized)
 
 
 def contribution(valuation, whole: Iterable[int], part: Iterable[int]) -> Fraction:

@@ -122,6 +122,19 @@ def test_welfare_budgets_count_full_assignment_space():
     assert mk.max_welfare_half_integral(inst, caps, max_enum=3**6).n == 2
 
 
+def test_entry_points_check_m_against_the_rows():
+    # a wrong m used to set the budget: this call was checked against 2^2
+    # assignments and returned five labels
+    with pytest.raises(ValueError):
+        engine.max_min_partition([[F(1)] * 5], 2, 2)
+    families = [[[F(1)] * 5], [[F(2)] * 5]]
+    with pytest.raises(ValueError):
+        engine.best_integral_welfare(families, [F(1), F(1)], 2)
+    with pytest.raises(ValueError):
+        engine.best_half_integral_welfare(families, [F(1), F(1)], 2)
+    assert len(engine.best_integral_welfare(families, [F(1), F(1)], 5)) == 5
+
+
 def tables(rng, rows, m, lo=0, hi=6):
     return [rng.randint(lo, hi) for _ in range(rows * m)]
 

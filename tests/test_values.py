@@ -3,6 +3,7 @@ truncation, and contribution."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,82 @@ def test_restrict_instance_reindexes():
     assert sub.n == 2 and sub.m == 2
     assert sub.valuations[1].value([0]) == 8
     assert sub.valuations[1].value([1]) == 9
+
+
+# ---------------------------------------------------------------------------
+# the integer table behind evaluation, scaling and restriction
+
+
+def _mixed_rows(rng, m):
+    """1..3 rows of entries k/7, k/13 and 0, plus a copy of one of them
+    placed at a random position, so witnesses tie on every set."""
+    def entry():
+        return rng.choice([F(rng.randint(0, 20), 7), F(rng.randint(0, 20), 13), F(0)])
+
+    rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 3))]
+    rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    return rows
+
+
+def _first_witness(rows, total):
+    """Smallest row index attaining the oracle value."""
+    return next(k for k, row in enumerate(rows) if total(row) == max(map(total, rows)))
+
+
+def test_integer_table_agrees_with_the_fraction_oracle():
+    rng = random.Random(24)
+    for _ in range(150):
+        m = rng.randint(0, 6)
+        rows = _mixed_rows(rng, m)
+        v = xv(rows)
+        den, table = v.int_table
+        assert all(x * den == r for row, trow in zip(rows, table)
+                   for x, r in zip(row, trow))
+        items = [j for j in range(m) if rng.random() < 0.5]
+        assert v.value(items) == xos_value(rows, items)
+        assert v.witness_index(items) == _first_witness(
+            rows, lambda row: sum((row[j] for j in items), F(0)))
+        shares = tuple(F(rng.randint(0, d), d) for d in
+                       (rng.choice([1, 2, 3, 5, 6]) for _ in range(m)))
+        assert v.fractional_value(shares) == xos_fractional(rows, shares)
+        assert v.fractional_witness_index(shares) == _first_witness(
+            rows, lambda row: sum((x * s for x, s in zip(row, shares)), F(0)))
+
+
+def test_scaled_table_equals_entrywise_fractions():
+    rng = random.Random(7)
+    for _ in range(100):
+        rows = _mixed_rows(rng, rng.randint(1, 5))
+        factor = rng.choice([F(0), F(1), F(13, 7), F(7, 26), F(rng.randint(0, 9), 4)])
+        got = xv(rows).scaled(factor)
+        want = xv([[x * factor for x in row] for row in rows])
+        assert got == want and hash(got) == hash(want)
+        assert [f.values for f in got.functions] == [f.values for f in want.functions]
+        assert all(type(x) is Fraction for f in got.functions for x in f.values)
+        assert got.int_table == want.int_table
+
+
+def test_restricted_tables_equal_entrywise_fractions():
+    rng = random.Random(8)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        agents = [_mixed_rows(rng, m) for _ in range(rng.randint(1, 3))]
+        inst = mk.instance_from_lists(agents)
+        keep = rng.sample(range(inst.n), rng.randint(1, inst.n))
+        items = rng.sample(range(m), rng.randint(0, m))
+        sub = mk.restrict_instance(inst, keep, items)
+        want = mk.instance_from_lists(
+            [[[row[j] for j in items] for row in agents[i]] for i in keep])
+        assert sub == want
+        for got, expect in zip(sub.valuations, want.valuations):
+            assert [f.values for f in got.functions] == [f.values for f in expect.functions]
+            assert got.int_table == expect.int_table
+
+
+def test_cached_table_leaves_identity_alone():
+    rows = [[F(1, 7), F(2)], [F(0), F(3, 13)]]
+    built, fresh = xv(rows), xv(rows)
+    assert built.int_table == (91, ((13, 182), (0, 21)))
+    assert "int_table" in vars(built) and "int_table" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh) and "int_table" not in repr(built)
